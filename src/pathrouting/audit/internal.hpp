@@ -18,6 +18,12 @@ namespace pathrouting::audit::internal {
 /// offenders plus the total, not ten million lines.
 inline constexpr std::uint64_t kMaxFindingsPerRule = 16;
 
+/// Vertices per fixed chunk of the parallel per-vertex scans. Chunk
+/// boundaries are part of the deterministic-output contract (findings
+/// survive the cap in chunk order), so this is a constant, not a tuning
+/// knob.
+inline constexpr std::uint64_t kScanGrain = 1 << 16;
+
 /// Per-chunk finding accumulator. Chunks collect at most the cap (plus
 /// the exact violation count); merging keeps the earliest findings in
 /// chunk order, so the surviving diagnostics are the ones with the

@@ -76,11 +76,11 @@ struct PebbleResult {
 };
 
 /// Runs the pebble game. `schedule` is the computation order over
-/// non-input vertices (validated to be topological and complete by
-/// schedule::validate; the simulator only checks what it needs to stay
-/// safe). `is_output(v)` marks values that must be in slow memory at
-/// halt. Aborts if M is too small to compute some vertex at all
-/// (max in-degree + 1).
+/// non-input vertices (checked topological and complete by
+/// schedule::schedule_diagnostics; the simulator only checks what it
+/// needs to stay safe). `is_output(v)` marks values that must be in
+/// slow memory at halt. Aborts if M is too small to compute some vertex
+/// at all (max in-degree + 1).
 PebbleResult simulate(const Graph& graph,
                       std::span<const VertexId> schedule,
                       const PebbleOptions& options,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <future>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -342,14 +343,23 @@ Response CertificateService::serve(const Request& request) {
                  static_cast<std::uint64_t>(inflight_.size()));
   }
 
-  Certificate cert = compute(*arena, request);
-  store_.insert(key, cert);
-  obs_computed.add();
-  {
+  // An owner that finished between the store lookup above and the
+  // registration inserted before it left inflight_, so one more lookup
+  // as owner sees its certificate instead of computing it twice.
+  std::optional<Certificate> cert = store_.lookup(key);
+  const bool from_cache = cert.has_value();
+  if (from_cache) {
+    obs_hits.add();
+    std::lock_guard<std::mutex> lock(metrics_mutex_);
+    ++metrics_.store_hits;
+  } else {
+    cert = compute(*arena, request);
+    store_.insert(key, *cert);
+    obs_computed.add();
     std::lock_guard<std::mutex> lock(metrics_mutex_);
     ++metrics_.computed;
   }
-  Response resp = finish(key, std::move(cert), false);
+  Response resp = finish(key, std::move(*cert), from_cache);
   arena->annotate(request, resp);
   owned->promise.set_value(resp);
   {

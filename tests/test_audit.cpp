@@ -1,7 +1,6 @@
 // The audit layer's positive contract: clean catalog CDAGs audit
 // clean, reports are bit-identical across thread counts, the rule
-// registry is coherent, the renderers are faithful, and the legacy
-// schedule validator agrees with the diagnostic scan it shims.
+// registry is coherent, and the renderers are faithful.
 // (tests/test_deathchecks.cpp holds the negative side: one mutated
 // fixture per rule.)
 #include <gtest/gtest.h>
@@ -20,8 +19,6 @@
 #include "pathrouting/routing/chain_routing.hpp"
 #include "pathrouting/routing/decode_routing.hpp"
 #include "pathrouting/routing/hall.hpp"
-#include "pathrouting/schedule/schedules.hpp"
-#include "pathrouting/schedule/validate.hpp"
 #include "pathrouting/support/debug_hooks.hpp"
 #include "pathrouting/support/parallel.hpp"
 
@@ -37,7 +34,7 @@ TEST(Audit, CleanCatalogCdagsAuditClean) {
   for (const auto& name : bilinear::catalog_names()) {
     for (int r = 1; r <= 2; ++r) {
       const cdag::Cdag c(bilinear::by_name(name), r);
-      const AuditReport report = audit::audit_cdag(c);
+      const AuditReport report = audit::audit_cdag(cdag::ExplicitView(c));
       EXPECT_TRUE(report.ok()) << name << " r=" << r << "\n"
                                << report.to_text();
     }
@@ -109,15 +106,14 @@ TEST(Audit, FindingsAreThreadCountInvariant) {
   family.expected_length = 3;  // every path is short: findings per chunk
   family.vertex_disjoint = true;
 
-  const auto view = audit::view_of(c);
   AuditReport serial, parallel4;
   {
     const ThreadOverride threads(1);
-    serial = audit::audit_path_family(view, family);
+    serial = audit::audit_path_family(c.graph(), family);
   }
   {
     const ThreadOverride threads(4);
-    parallel4 = audit::audit_path_family(view, family);
+    parallel4 = audit::audit_path_family(c.graph(), family);
   }
   EXPECT_TRUE(serial == parallel4);
   EXPECT_FALSE(serial.ok());
@@ -158,7 +154,8 @@ TEST(Audit, RuleSelectionFiltersByIdAndPrefix) {
   EXPECT_TRUE(without.enabled("cdag.degree-bounds"));
 
   const cdag::Cdag c(bilinear::strassen(), 1, {.with_coefficients = false});
-  const AuditReport report = audit::audit_cdag(c, only_cdag);
+  const AuditReport report =
+      audit::audit_cdag(cdag::ExplicitView(c), only_cdag);
   for (const auto& rule : report.rules_run()) {
     EXPECT_EQ(rule.rfind("cdag.", 0), 0u) << rule;
   }
@@ -189,25 +186,6 @@ TEST(Audit, TextAndJsonRenderersAreFaithful) {
   EXPECT_NE(json.find("\\n"), std::string::npos);           // escaped newline
   EXPECT_NE(json.find("\"vertex\":7"), std::string::npos);
   EXPECT_EQ(json.front(), '{');
-}
-
-TEST(Audit, LegacyValidatorAgreesWithDiagnostics) {
-  const cdag::Cdag c(bilinear::strassen(), 1, {.with_coefficients = false});
-  auto order = schedule::dfs_schedule(c);
-
-  EXPECT_TRUE(schedule::validate_schedule(c.graph(), order).ok);
-  EXPECT_TRUE(schedule::schedule_diagnostics(c.graph(), order).empty());
-
-  std::swap(order.front(), order.back());
-  const auto result = schedule::validate_schedule(c.graph(), order);
-  const auto diags = schedule::schedule_diagnostics(c.graph(), order);
-  ASSERT_FALSE(result.ok);
-  ASSERT_FALSE(diags.empty());
-  EXPECT_EQ(result.error, diags.front().message);
-
-  const AuditReport report = audit::audit_schedule(c.graph(), order);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(report.has_finding(diags.front().rule));
 }
 
 // --- machine.superstep-conservation ------------------------------------

@@ -13,6 +13,7 @@
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/cdag/evaluate.hpp"
 #include "pathrouting/cdag/subcomputation.hpp"
+#include "pathrouting/cdag/view.hpp"
 #include "pathrouting/parallel/machine.hpp"
 #include "pathrouting/pebble/cache_sim.hpp"
 #include "pathrouting/routing/hall.hpp"
@@ -105,19 +106,18 @@ using audit::Diagnostic;
 using audit::RuleSelection;
 using cdag::VertexId;
 
-/// Owning, mutable copy of a CDAG's structure tables. Tests corrupt one
-/// entry, rebuild the graph, and audit through a CdagView.
-struct MutableCdag {
-  const cdag::Cdag* base;
+/// Owning, mutable copy of a CDAG's structure tables, served through
+/// the cdag::CdagView interface. Tests corrupt one entry, rebuild the
+/// graph, and audit the fake like any other view.
+class MutableCdag final : public cdag::CdagView {
+ public:
   std::vector<std::uint32_t> in_off;
   std::vector<VertexId> in_adj;
-  std::vector<VertexId> copy_parent;
-  std::vector<VertexId> meta_root;
-  std::vector<std::uint32_t> meta_size;
-  std::vector<support::Rational> in_coeff;
-  cdag::Graph graph;
+  std::vector<VertexId> copy_parents;
+  std::vector<VertexId> meta_roots;
+  std::vector<std::uint32_t> meta_sizes;
 
-  explicit MutableCdag(const cdag::Cdag& c) : base(&c) {
+  explicit MutableCdag(const cdag::Cdag& c) : base_(&c) {
     const cdag::Graph& g = c.graph();
     in_off.reserve(g.num_vertices() + 1);
     in_off.push_back(0);
@@ -125,10 +125,10 @@ struct MutableCdag {
       for (const VertexId p : g.in(v)) in_adj.push_back(p);
       in_off.push_back(static_cast<std::uint32_t>(in_adj.size()));
     }
-    copy_parent.assign(c.copy_parents().begin(), c.copy_parents().end());
-    meta_root.assign(c.meta_roots().begin(), c.meta_roots().end());
-    meta_size.assign(c.meta_sizes().begin(), c.meta_sizes().end());
-    in_coeff.assign(c.in_coeffs().begin(), c.in_coeffs().end());
+    copy_parents.assign(c.copy_parents().begin(), c.copy_parents().end());
+    meta_roots.assign(c.meta_roots().begin(), c.meta_roots().end());
+    meta_sizes.assign(c.meta_sizes().begin(), c.meta_sizes().end());
+    rebuild();
   }
 
   /// Replaces the in-edge slot of `v` currently holding `from` with
@@ -146,22 +146,56 @@ struct MutableCdag {
     for (std::size_t w = v + 1; w < in_off.size(); ++w) ++in_off[w];
   }
 
-  audit::CdagView view() {
-    graph = cdag::Graph(in_off, in_adj);
-    audit::CdagView view;
-    view.graph = &graph;
-    view.layout = &base->layout();
-    view.copy_parent = copy_parent;
-    view.meta_root = meta_root;
-    view.meta_size = meta_size;
-    view.in_coeff = in_coeff;
-    view.grouped_duplicates = base->grouped_duplicates();
-    return view;
+  /// Re-derives the graph (and its out-lists) from the edited in-CSR.
+  void rebuild() { graph_ = cdag::Graph(in_off, in_adj); }
+
+  [[nodiscard]] const bilinear::BilinearAlgorithm& algorithm() const override {
+    return base_->algorithm();
   }
+  [[nodiscard]] const cdag::Layout& layout() const override {
+    return base_->layout();
+  }
+  [[nodiscard]] cdag::ViewCapabilities capabilities() const override {
+    return {.grouped_duplicates = base_->grouped_duplicates()};
+  }
+  [[nodiscard]] std::uint64_t num_edges() const override {
+    return graph_.num_edges();
+  }
+  [[nodiscard]] std::uint32_t in_degree(VertexId v) const override {
+    return graph_.in_degree(v);
+  }
+  [[nodiscard]] std::uint32_t out_degree(VertexId v) const override {
+    return graph_.out_degree(v);
+  }
+  [[nodiscard]] std::span<const VertexId> in(
+      VertexId v, std::vector<VertexId>& /*scratch*/) const override {
+    return graph_.in(v);
+  }
+  [[nodiscard]] std::span<const VertexId> out(
+      VertexId v, std::vector<VertexId>& /*scratch*/) const override {
+    return graph_.out(v);
+  }
+  [[nodiscard]] bool has_edge(VertexId from, VertexId to) const override {
+    return graph_.has_edge(from, to);
+  }
+  [[nodiscard]] VertexId copy_parent(VertexId v) const override {
+    return copy_parents[v];
+  }
+  [[nodiscard]] VertexId meta_root(VertexId v) const override {
+    return meta_roots[v];
+  }
+  [[nodiscard]] std::uint32_t meta_size(VertexId v) const override {
+    return meta_sizes[v];
+  }
+
+ private:
+  const cdag::Cdag* base_;
+  cdag::Graph graph_;
 };
 
 AuditReport run_rule(MutableCdag& m, const std::string& rule) {
-  return audit::audit_cdag(m.view(), RuleSelection::only({rule}));
+  m.rebuild();
+  return audit::audit_cdag(m, RuleSelection::only({rule}));
 }
 
 Diagnostic first_finding(const AuditReport& report, const std::string& rule) {
@@ -222,7 +256,7 @@ TEST(AuditMutation, CopyStructureCatchesWrongParent) {
   const VertexId real_parent = c.copy_parent(v);
   // Record a different (still smaller) vertex as the copy-parent: the
   // unique in-edge no longer comes from it.
-  m.copy_parent[v] = real_parent == 0 ? 1 : 0;
+  m.copy_parents[v] = real_parent == 0 ? 1 : 0;
   const auto& diag = first_finding(run_rule(m, "cdag.copy-structure"),
                                    "cdag.copy-structure");
   EXPECT_EQ(diag.vertex, v);
@@ -232,7 +266,7 @@ TEST(AuditMutation, MetaRootCatchesSizeMismatch) {
   const cdag::Cdag c(bilinear::strassen(), 1, {.with_coefficients = false});
   MutableCdag m(c);
   const VertexId root = c.copy_parent(first_copy_vertex(c));
-  m.meta_size[root] += 1;
+  m.meta_sizes[root] += 1;
   const auto& diag = first_finding(run_rule(m, "cdag.meta-root"),
                                    "cdag.meta-root");
   EXPECT_EQ(diag.vertex, root);
@@ -247,9 +281,9 @@ TEST(AuditMutation, MetaSubtreeCatchesDetachedCopy) {
   const VertexId root = c.meta_root(v);
   // Detach the copy into its own meta-vertex (sizes kept consistent so
   // only the subtree rule can object).
-  m.meta_root[v] = v;
-  m.meta_size[v] = 1;
-  m.meta_size[root] -= 1;
+  m.meta_roots[v] = v;
+  m.meta_sizes[v] = 1;
+  m.meta_sizes[root] -= 1;
   const auto& diag = first_finding(run_rule(m, "cdag.meta-subtree"),
                                    "cdag.meta-subtree");
   EXPECT_EQ(diag.vertex, v);
@@ -287,7 +321,7 @@ struct FamilyFixture {
     family.vertices = vertices;
     if (!sources.empty()) family.sources = sources;
     if (!sinks.empty()) family.sinks = sinks;
-    return audit::audit_path_family(audit::view_of(cdag), family,
+    return audit::audit_path_family(cdag.graph(), family,
                                     RuleSelection::only({rule}));
   }
 };

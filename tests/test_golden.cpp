@@ -170,6 +170,13 @@ struct GoldenCase {
   int kmax;
 };
 
+/// Without this gtest prints the raw object bytes, which include the
+/// string's heap pointer, so the listed test name changed with every
+/// process under ASLR.
+void PrintTo(const GoldenCase& c, std::ostream* os) {
+  *os << c.algorithm << " kmax " << c.kmax;
+}
+
 class GoldenTest : public ::testing::TestWithParam<GoldenCase> {};
 
 TEST_P(GoldenTest, CertificatesMatchCheckedInCorpus) {

@@ -14,7 +14,8 @@
 //     vertices of the 5.7M-vertex Strassen graph;
 //   * engine-level identity: the constant-memory verifiers reproduce
 //     the array-backed memoized certificates field by field, including
-//     argmax tie-breaks, for every k where both run.
+//     argmax tie-breaks, for every k where both run, and the cdag.*
+//     audit reports the same findings through either view.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -31,12 +32,14 @@
 #include "pathrouting/cdag/view.hpp"
 #include "pathrouting/routing/decode_routing.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
+#include "pathrouting/support/parallel.hpp"
 #include "pathrouting/support/prng.hpp"
 
 namespace {
 
 using namespace pathrouting;  // NOLINT
 using cdag::VertexId;
+using support::parallel::ThreadOverride;
 
 /// Explicit graphs larger than this are skipped (the k <= 4 sweep
 /// covers every catalog algorithm only up to what fits).
@@ -208,6 +211,50 @@ TEST(ImplicitEngine, StatsBitIdenticalToArrayBackedEngine) {
     SCOPED_TRACE("classical2_x_strassen k=" + std::to_string(k));
     expect_engines_identical(bilinear::by_name("classical2_x_strassen"), k);
   }
+}
+
+// The cdag.* suite is one per-vertex scan over any view, so an
+// implicit graph must audit exactly like the explicit graph it models
+// (the explicit side also checks copy coefficients and reports edge
+// indices, neither of which shows on a clean graph), at every thread
+// count.
+TEST(ImplicitAudit, CdagSuiteMatchesExplicitView) {
+  const auto expect_same_audit = [](const std::string& name, int r) {
+    SCOPED_TRACE(name + " r=" + std::to_string(r));
+    const auto alg = bilinear::by_name(name);
+    const cdag::Cdag graph(alg, r);
+    const cdag::ImplicitCdag view(alg, r);
+    for (const int threads : {1, 2, 7}) {
+      const ThreadOverride guard(threads);
+      const audit::AuditReport implicit_report = audit::audit_cdag(view);
+      const audit::AuditReport explicit_report =
+          audit::audit_cdag(cdag::ExplicitView(graph));
+      EXPECT_TRUE(implicit_report == explicit_report)
+          << "threads=" << threads << "\nimplicit:\n"
+          << implicit_report.to_text() << "explicit:\n"
+          << explicit_report.to_text();
+      EXPECT_TRUE(implicit_report.ok()) << implicit_report.to_text();
+      EXPECT_EQ(implicit_report.rules_run().size(), 7u);
+    }
+  };
+  for (const std::string& name : bilinear::catalog_names()) {
+    for (int r = 1; r <= 2; ++r) expect_same_audit(name, r);
+  }
+  expect_same_audit("strassen", 4);
+}
+
+// Past 2^20 vertices an implicit view is audited on a stride sample;
+// the report must say so (once) rather than pass silently.
+TEST(ImplicitAudit, StrassenR10SampledAuditIsClean) {
+  const cdag::ImplicitCdag view(bilinear::by_name("strassen"), 10);
+  const audit::AuditReport report = audit::audit_cdag(view);
+  EXPECT_TRUE(report.ok()) << report.to_text();
+  EXPECT_EQ(report.rules_run().size(), 7u);
+  ASSERT_EQ(report.diagnostics().size(), 1u) << report.to_text();
+  const audit::Diagnostic& note = report.diagnostics().front();
+  EXPECT_EQ(note.severity, audit::Severity::kNote);
+  EXPECT_NE(note.message.find("stride sample"), std::string::npos)
+      << note.message;
 }
 
 // The implicit engine keeps working far past the explicit budget; pin

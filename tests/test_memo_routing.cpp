@@ -282,7 +282,9 @@ TEST(PathStoreTest, DotExportListsEveryChainVertex) {
       paths_to_dot(cdag.layout(), store, "chain");
   EXPECT_NE(dot.find("digraph \"chain\""), std::string::npos);
   for (const VertexId v : store.path(0)) {
-    EXPECT_NE(dot.find("v" + std::to_string(v)), std::string::npos);
+    std::string node = "v";
+    node += std::to_string(v);
+    EXPECT_NE(dot.find(node), std::string::npos);
   }
 }
 

@@ -238,7 +238,7 @@ TEST(CapsTest, GeneralisesToOtherBases) {
 // --- Sparse machine vs oracles: bit-identity contracts. ---
 
 template <typename M>
-audit::MachineSuperstepView view_of(const M& machine) {
+audit::MachineSuperstepView machine_view(const M& machine) {
   return {machine.step_sent(), machine.step_received(),
           machine.step_max_traffic(), machine.bandwidth_cost(),
           machine.total_words(), machine.supersteps()};
@@ -250,7 +250,7 @@ void expect_bit_identical(const A& a, const B& b, const char* what) {
   EXPECT_EQ(a.total_words(), b.total_words()) << what;
   EXPECT_EQ(a.supersteps(), b.supersteps()) << what;
   const audit::AuditReport report =
-      audit::audit_machine_pair(view_of(a), view_of(b));
+      audit::audit_machine_pair(machine_view(a), machine_view(b));
   EXPECT_TRUE(report.ok()) << what << "\n" << report.to_text();
 }
 

@@ -81,7 +81,12 @@ TEST(ParallelPrimitivesTest, ReduceFoldsInChunkOrder) {
     return parallel::parallel_reduce<std::string>(
         0, 50, 4, std::string(),
         [](std::uint64_t lo, std::uint64_t hi) {
-          return "[" + std::to_string(lo) + "," + std::to_string(hi) + ")";
+          std::string range = "[";
+          range += std::to_string(lo);
+          range += ',';
+          range += std::to_string(hi);
+          range += ')';
+          return range;
         },
         [](std::string& acc, const std::string& chunk) { acc += chunk; });
   };
