@@ -6,19 +6,17 @@
 // the Lemma-3 / Lemma-4 / Theorem-2 chain routing and the Claim-1
 // decode routing at that size from O(k * b * #digit-states) state.
 //
-// Phase 1 (implicit only) runs Strassen k = 1..kmax and the
-// classical2 (x) strassen hybrid at matching problem sizes (n0 = 4, so
-// k/2 ranks reach the same n) with NO explicit graph ever built, then
-// asserts the process peak RSS stayed under 2 GiB — the headline
-// bounded-memory claim of the implicit representation.
+// It runs Strassen k = 1..kmax and the classical2 (x) strassen hybrid
+// at matching problem sizes (n0 = 4, so k/2 ranks reach the same n)
+// with NO explicit graph ever built, then asserts the process peak RSS
+// stayed under 2 GiB — the headline bounded-memory claim of the
+// implicit representation. The verifiers are the engine's only
+// implementation; tests/test_memo_routing checks them against the
+// brute-force oracle.
 //
-// Phase 2 (cross-check; skip with --implicit-only) rebuilds the
-// explicit CDAG where it still fits (~4M vertices) and requires the
-// implicit stats to be bit-identical to the array-backed memoized
-// engine, field by field, including argmax tie-breaks.
-//
-// Exits nonzero on any bound violation, divergence, or RSS breach, so
-// the implicit-perfsmoke ctest entry is a hard gate.
+// Exits nonzero on any bound violation or RSS breach, so the
+// implicit-perfsmoke ctest entry is a hard gate. With PR_OBS=1,
+// PR_TRACE_OUT / PR_METRICS_OUT capture the memo.implicit_* spans.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -30,9 +28,8 @@
 #include "bench_common.hpp"
 #include "pathrouting/bilinear/analysis.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
-#include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/cdag/implicit.hpp"
-#include "pathrouting/cdag/subcomputation.hpp"
+#include "pathrouting/obs/export.hpp"
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/support/table.hpp"
@@ -46,8 +43,7 @@ using support::fmt_fixed;
 constexpr std::uint64_t kRssLimitBytes = 2ull << 30;  // 2 GiB
 
 struct Options {
-  int kmax = 10;           // Strassen ranks; the hybrid runs kmax/2
-  bool crosscheck = true;  // phase 2 (explicit comparison)
+  int kmax = 10;  // Strassen ranks; the hybrid runs kmax/2
 };
 
 struct ImplicitRun {
@@ -78,38 +74,6 @@ ImplicitRun run_implicit(const routing::MemoRoutingEngine& engine,
     run.decode_secs = decode_timer.seconds();
   }
   return run;
-}
-
-ImplicitRun run_explicit(const routing::MemoRoutingEngine& engine,
-                         const cdag::SubComputation& sub) {
-  ImplicitRun run;
-  run.l3 = engine.verify_chain_routing(sub);
-  run.l4 = engine.verify_chain_multiplicities(sub);
-  run.t2 = engine.verify_full_routing(sub);
-  if (engine.has_decoder()) {
-    run.decode = engine.verify_decode_routing(sub);
-  }
-  return run;
-}
-
-bool bit_identical(const ImplicitRun& a, const ImplicitRun& b) {
-  bool same = a.l3.num_paths == b.l3.num_paths &&
-              a.l3.max_hits == b.l3.max_hits && a.l3.bound == b.l3.bound &&
-              a.l3.argmax == b.l3.argmax && a.l4 == b.l4 &&
-              a.t2.num_paths == b.t2.num_paths &&
-              a.t2.max_vertex_hits == b.t2.max_vertex_hits &&
-              a.t2.argmax_vertex == b.t2.argmax_vertex &&
-              a.t2.max_meta_hits == b.t2.max_meta_hits &&
-              a.t2.bound == b.t2.bound &&
-              a.t2.root_hit_property == b.t2.root_hit_property &&
-              a.decode.has_value() == b.decode.has_value();
-  if (same && a.decode) {
-    same = a.decode->num_paths == b.decode->num_paths &&
-           a.decode->max_hits == b.decode->max_hits &&
-           a.decode->bound == b.decode->bound &&
-           a.decode->argmax == b.decode->argmax;
-  }
-  return same;
 }
 
 void add_records(bench::BenchJson& json, const std::string& name, int k,
@@ -152,11 +116,8 @@ int main(int argc, char** argv) {
     const std::string arg = argv[i];
     if (arg.rfind("--kmax=", 0) == 0) {
       opt.kmax = std::atoi(arg.c_str() + 7);
-    } else if (arg == "--implicit-only") {
-      opt.crosscheck = false;
     } else {
-      std::fprintf(stderr,
-                   "usage: bench_implicit [--kmax=N] [--implicit-only]\n");
+      std::fprintf(stderr, "usage: bench_implicit [--kmax=N]\n");
       return 2;
     }
   }
@@ -166,16 +127,15 @@ int main(int argc, char** argv) {
       "E17: implicit CDAG — constant-memory certificates at k = 10",
       "Claim: the Fact-1 virtual view certifies the Lemma-3/4, Theorem-2,\n"
       "and Claim-1 routings of G_k without materializing G_k; peak RSS\n"
-      "stays under 2 GiB at Strassen k = 10 (~2.0e9 vertices), and the\n"
-      "stats are bit-identical to the explicit engine wherever both run.");
+      "stays under 2 GiB at Strassen k = 10 (~2.0e9 vertices).");
 
   bench::BenchJson json("implicit_cdag");
   bool failed = false;
 
-  // Phase 1 — implicit only. Workloads: Strassen at full depth, and
-  // the disconnected-decoding hybrid at the rank reaching the same n
-  // (n0 = 4: kmax/2 ranks give n = 2^kmax). The hybrid has no Claim-1
-  // router, so it exercises the chain-only engine configuration.
+  // Workloads: Strassen at full depth, and the disconnected-decoding
+  // hybrid at the rank reaching the same n (n0 = 4: kmax/2 ranks give
+  // n = 2^kmax). The hybrid has no Claim-1 router, so it exercises the
+  // chain-only engine configuration.
   struct Workload {
     const char* name;
     int kmax;
@@ -223,67 +183,27 @@ int main(int argc, char** argv) {
   // The bounded-memory claim: everything above ran without ever
   // allocating per-vertex state. ru_maxrss is monotonic, so this also
   // bounds every workload individually.
-  const std::uint64_t phase1_rss = obs::max_rss_bytes();
+  const std::uint64_t peak_rss = obs::max_rss_bytes();
   std::printf("\nimplicit phase peak RSS: %" PRIu64 " MiB (limit %" PRIu64
               " MiB)\n",
-              phase1_rss >> 20, kRssLimitBytes >> 20);
+              peak_rss >> 20, kRssLimitBytes >> 20);
   json.add_record()
       .set("experiment", "implicit_phase")
       .set("engine", routing::engine_name(routing::EngineKind::kImplicit))
       .set("kmax", opt.kmax)
       .set("rss_limit_bytes", kRssLimitBytes)
-      .set("ok", phase1_rss < kRssLimitBytes)
-      .set("max_rss_bytes", phase1_rss);
-  if (phase1_rss >= kRssLimitBytes) {
+      .set("ok", peak_rss < kRssLimitBytes)
+      .set("max_rss_bytes", peak_rss);
+  if (peak_rss >= kRssLimitBytes) {
     std::fprintf(stderr, "RSS LIMIT EXCEEDED: %" PRIu64 " >= %" PRIu64 "\n",
-                 phase1_rss, kRssLimitBytes);
+                 peak_rss, kRssLimitBytes);
     failed = true;
   }
 
-  // Phase 2 — cross-check against the explicit engine wherever the
-  // CSR graph still fits (~4M vertices). The explicit build dominates
-  // the RSS from here on, which is why phase 1 measured first.
-  if (opt.crosscheck) {
-    std::printf("\ncross-check vs explicit engine (<= ~4M vertices):\n");
-    for (const Workload& w : workloads) {
-      const auto alg = bilinear::by_name(w.name);
-      int kx = w.kmax;
-      while (kx > 1 && cdag::ImplicitCdag(alg, kx).num_vertices() > 4000000) {
-        --kx;
-      }
-      const routing::ChainRouter router(alg);
-      std::optional<routing::DecodeRouter> decoder;
-      std::optional<routing::MemoRoutingEngine> engine;
-      if (bilinear::decoding_components(alg) == 1) {
-        decoder.emplace(alg);
-        engine.emplace(router, *decoder);
-      } else {
-        engine.emplace(router);
-      }
-      for (int k = 1; k <= kx; ++k) {
-        const cdag::Cdag graph(alg, k,
-                               cdag::CdagOptions{.with_coefficients = false});
-        const cdag::SubComputation sub(graph, k, 0);
-        const cdag::ImplicitCdag view(alg, k);
-        const ImplicitRun expl = run_explicit(*engine, sub);
-        const ImplicitRun impl = run_implicit(*engine, view, k);
-        const bool identical = bit_identical(expl, impl);
-        if (!identical) {
-          std::fprintf(stderr, "DIVERGENCE: %s k=%d implicit != explicit\n",
-                       w.name, k);
-          failed = true;
-        }
-        json.add_record()
-            .set("experiment", "crosscheck")
-            .set("algorithm", w.name)
-            .set("k", k)
-            .set("counts_bit_identical", identical)
-            .set("max_rss_bytes", obs::max_rss_bytes());
-        std::printf("  %-22s k=%d  %s\n", w.name, k,
-                    identical ? "bit-identical" : "DIVERGED");
-      }
-    }
-  }
+  // With PR_OBS=1 in the environment the run was traced; PR_TRACE_OUT
+  // dumps the spans and PR_METRICS_OUT the obs counters (see README
+  // "Observability").
+  obs::write_env_outputs("implicit_metrics", bench::git_commit());
 
   return failed ? 1 : 0;
 }

@@ -87,7 +87,6 @@ AuditReport run_all(const cdag::Cdag& cdag, const RunAllOptions& options) {
           engine.emplace(router);
         }
         report.merge(audit_memo_routing(*engine, sub, selection));
-        report.merge(audit_implicit_routing(*engine, sub, selection));
       }
       if (r >= 2 && bilinear::lemma1_precondition(alg)) {
         const int kf = std::min(r - 2, 1);

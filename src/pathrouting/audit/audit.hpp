@@ -102,18 +102,9 @@ AuditReport audit_memo_chain_counts(
 
 /// One-stop memoized-routing audit of `sub`: the Fact-1 copy renaming
 /// (fact1.*), the memoized chain counts, and — when the engine has a
-/// decoder — the Claim-1 totals and congestion of the memoized decode
-/// array.
+/// decoder — the Claim-1 totals, the decode verdict's max/argmax and
+/// the congestion of the memoized decode array.
 AuditReport audit_memo_routing(
-    const routing::MemoRoutingEngine& engine, const cdag::SubComputation& sub,
-    const RuleSelection& selection = RuleSelection::all());
-
-/// routing.implicit-match: the constant-memory implicit engine path
-/// (addressing G_k^prefix by (k, prefix) through a view) must reproduce
-/// the array-backed memoized certificates of `sub` field for field —
-/// chain stats, the Lemma-4 multiplicity verdict, Theorem-2 stats, and
-/// (when the engine has a decoder) decode stats.
-AuditReport audit_implicit_routing(
     const routing::MemoRoutingEngine& engine, const cdag::SubComputation& sub,
     const RuleSelection& selection = RuleSelection::all());
 

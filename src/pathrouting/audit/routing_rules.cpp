@@ -400,9 +400,17 @@ AuditReport audit_memo_routing(const routing::MemoRoutingEngine& engine,
 
   if (engine.has_decoder()) {
     const std::vector<std::uint64_t> hits = engine.decode_hits(sub);
+    const routing::HitStats stats = engine.verify_decode_routing(sub);
     Findings totals;
-    std::uint64_t total = 0;
-    for (const std::uint64_t h : hits) total += h;
+    std::uint64_t total = 0, max_hits = 0;
+    VertexId argmax = 0;
+    for (VertexId v = 0; v < hits.size(); ++v) {
+      total += hits[v];
+      if (hits[v] > max_hits) {
+        max_hits = hits[v];
+        argmax = v;
+      }
+    }
     if (total != engine.expected_decode_total_hits(k)) {
       totals.add(error_counts(kMemoTotals,
                               "decode hit-array total disagrees with the "
@@ -410,10 +418,16 @@ AuditReport audit_memo_routing(const routing::MemoRoutingEngine& engine,
                               "k*b^(k-1)*a^(k-1)*(D_1 visit totals)",
                               engine.expected_decode_total_hits(k), total));
     }
+    if (max_hits != stats.max_hits || argmax != stats.argmax) {
+      totals.add(error_counts(kMemoTotals,
+                              "decode verdict max hits / argmax disagree "
+                              "with the array (smallest-id tie-break)",
+                              max_hits, stats.max_hits, argmax));
+    }
     flush(report, selection, kMemoTotals, std::move(totals));
     if (selection.enabled(kCongestion)) {
       Findings findings;
-      congestion_findings(hits, engine.verify_decode_routing(sub).bound,
+      congestion_findings(hits, stats.bound,
                           "memoized decode-routing vertex", findings);
       flush(report, selection, kCongestion, std::move(findings));
     }

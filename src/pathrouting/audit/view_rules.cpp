@@ -1,6 +1,5 @@
-// View reconciliation rules: the exhaustive implicit-vs-explicit
-// consistency rule (cdag.view-consistency) and the implicit routing
-// engine reconciliation (routing.implicit-match).
+// View reconciliation: the exhaustive implicit-vs-explicit consistency
+// rule (cdag.view-consistency).
 #include <string>
 #include <vector>
 
@@ -20,16 +19,6 @@ using internal::Findings;
 using internal::flush;
 
 constexpr std::string_view kViewConsistency = "cdag.view-consistency";
-constexpr std::string_view kImplicitMatch = "routing.implicit-match";
-
-void compare_count(Findings& out, const std::string& what,
-                   std::uint64_t expected, std::uint64_t actual) {
-  if (expected == actual) return;
-  out.add(error_counts(
-      kImplicitMatch,
-      what + ": implicit engine disagrees with the array-backed result",
-      expected, actual));
-}
 
 }  // namespace
 
@@ -138,60 +127,6 @@ AuditReport audit_view_consistency(const cdag::CdagView& view,
       [](Findings& acc, Findings& chunk) { acc.merge(chunk); });
   preamble.merge(scan);
   flush(report, selection, kViewConsistency, std::move(preamble));
-  return report;
-}
-
-AuditReport audit_implicit_routing(const routing::MemoRoutingEngine& engine,
-                                   const cdag::SubComputation& sub,
-                                   const RuleSelection& selection) {
-  Findings findings;
-  const cdag::ExplicitView view(sub.cdag());
-  const int k = sub.k();
-  const std::uint64_t prefix = sub.prefix();
-
-  {
-    const routing::HitStats want = engine.verify_chain_routing(sub);
-    const routing::HitStats got = engine.verify_chain_routing(view, k, prefix);
-    compare_count(findings, "chain num_paths", want.num_paths, got.num_paths);
-    compare_count(findings, "chain max_hits", want.max_hits, got.max_hits);
-    compare_count(findings, "chain bound", want.bound, got.bound);
-    compare_count(findings, "chain argmax", want.argmax, got.argmax);
-  }
-  {
-    const bool want = engine.verify_chain_multiplicities(sub);
-    const bool got = engine.verify_chain_multiplicities(view, k, prefix);
-    compare_count(findings, "Lemma-4 multiplicity verdict", want ? 1 : 0,
-                  got ? 1 : 0);
-  }
-  {
-    const routing::FullRoutingStats want = engine.verify_full_routing(sub);
-    const routing::FullRoutingStats got =
-        engine.verify_full_routing(view, k, prefix);
-    compare_count(findings, "Theorem-2 num_paths", want.num_paths,
-                  got.num_paths);
-    compare_count(findings, "Theorem-2 max_vertex_hits", want.max_vertex_hits,
-                  got.max_vertex_hits);
-    compare_count(findings, "Theorem-2 argmax_vertex", want.argmax_vertex,
-                  got.argmax_vertex);
-    compare_count(findings, "Theorem-2 max_meta_hits", want.max_meta_hits,
-                  got.max_meta_hits);
-    compare_count(findings, "Theorem-2 bound", want.bound, got.bound);
-    compare_count(findings, "Theorem-2 root_hit_property",
-                  want.root_hit_property ? 1 : 0,
-                  got.root_hit_property ? 1 : 0);
-  }
-  if (engine.has_decoder()) {
-    const routing::HitStats want = engine.verify_decode_routing(sub);
-    const routing::HitStats got =
-        engine.verify_decode_routing(view, k, prefix);
-    compare_count(findings, "decode num_paths", want.num_paths, got.num_paths);
-    compare_count(findings, "decode max_hits", want.max_hits, got.max_hits);
-    compare_count(findings, "decode bound", want.bound, got.bound);
-    compare_count(findings, "decode argmax", want.argmax, got.argmax);
-  }
-
-  AuditReport report;
-  flush(report, selection, kImplicitMatch, std::move(findings));
   return report;
 }
 

@@ -90,6 +90,26 @@ std::uint64_t block_grain(std::uint64_t edges_per_block_times_rows,
 
 }  // namespace
 
+std::uint64_t edge_count(const BilinearAlgorithm& alg, const Layout& layout) {
+  std::uint64_t uv_nnz = 0, w_nnz = 0;
+  for (int q = 0; q < alg.b(); ++q) {
+    for (int d = 0; d < alg.a(); ++d) {
+      if (!alg.u(q, d).is_zero()) ++uv_nnz;
+      if (!alg.v(q, d).is_zero()) ++uv_nnz;
+      if (!alg.w(d, q).is_zero()) ++w_nnz;
+    }
+  }
+  const auto& pa = layout.pow_a();
+  const auto& pb = layout.pow_b();
+  const int r = layout.r();
+  std::uint64_t num_edges = 2 * pb(r);
+  for (int t = 1; t <= r; ++t) {
+    num_edges += pb(t - 1) * pa(r - t) * uv_nnz;
+    num_edges += pb(r - t) * pa(t - 1) * w_nnz;
+  }
+  return num_edges;
+}
+
 Cdag::Cdag(BilinearAlgorithm alg, int r, CdagOptions options)
     : alg_(std::move(alg)), layout_(alg_.n0(), alg_.b(), r) {
   const obs::TraceSpan span("cdag.build");
@@ -114,16 +134,7 @@ Cdag::Cdag(BilinearAlgorithm alg, int r, CdagOptions options)
   const auto v_pre = nnz_prefix(v_rows);
   const auto w_pre = nnz_prefix(w_rows);
 
-  // Count edges to reserve: per encoding rank t>=1 vertex with final
-  // recursion digit q, in-degree is nnz(row q); decode rank t>=1 vertex
-  // with leading position digit d has in-degree nnz(W row d); products
-  // have in-degree 2.
-  std::uint64_t num_edges = 0;
-  for (int t = 1; t <= r; ++t) {
-    num_edges += pb(t - 1) * pa(r - t) * (u_pre.back() + v_pre.back());
-    num_edges += pb(r - t) * pa(t - 1) * w_pre.back();
-  }
-  num_edges += 2 * pb(r);
+  const std::uint64_t num_edges = edge_count(alg_, layout_);
   PR_REQUIRE_MSG(num_edges < kInvalidVertex,
                  "CDAG too large for 32-bit edge offsets");
 

@@ -32,6 +32,16 @@ struct CdagOptions {
   bool group_duplicate_rows = false;
 };
 
+/// Edge count of G_r (`layout`) for `alg` in closed form, without
+/// building anything: an encoding vertex of rank t >= 1 has one in-edge
+/// per nonzero of the U (resp. V) row of its last recursion digit, a
+/// decoding vertex of rank t >= 1 one per nonzero of the W row of its
+/// leading position digit, and a product two. Cdag requires it below
+/// kInvalidVertex (32-bit edge offsets), so callers that must not abort
+/// check it first.
+[[nodiscard]] std::uint64_t edge_count(const BilinearAlgorithm& alg,
+                                       const Layout& layout);
+
 class Cdag {
  public:
   /// Builds G_r for the given base algorithm. Aborts if any encoding

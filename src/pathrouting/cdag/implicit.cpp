@@ -89,17 +89,9 @@ ImplicitCdag::ImplicitCdag(BilinearAlgorithm alg, int r)
     }
   }
 
-  // Builder's edge count, in closed form (no 32-bit offset limit: the
-  // implicit graph stores no offsets).
-  const auto& pa = layout_.pow_a();
-  const auto& pb = layout_.pow_b();
-  const std::uint64_t uv_nnz = u_rows_.indices.size() + v_rows_.indices.size();
-  const std::uint64_t w_nnz = w_rows_.indices.size();
-  for (int t = 1; t <= r; ++t) {
-    num_edges_ += pb(t - 1) * pa(r - t) * uv_nnz;
-    num_edges_ += pb(r - t) * pa(t - 1) * w_nnz;
-  }
-  num_edges_ += 2 * pb(r);
+  // The builder's edge count (no 32-bit offset limit: the implicit graph
+  // stores no offsets).
+  num_edges_ = edge_count(alg_, layout_);
 }
 
 std::uint32_t ImplicitCdag::in_degree(VertexId v) const {

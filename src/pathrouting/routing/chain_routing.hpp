@@ -88,9 +88,8 @@ struct HitStats {
 HitStats verify_chain_routing(const ChainRouter& router,
                               const SubComputation& sub);
 
-/// The Lemma-3 stats of an already-computed hit array (shared by the
-/// brute-force path above and the memoized engine, so both engines
-/// produce the verdict from counts through one code path).
+/// The Lemma-3 stats of an already-computed hit array (the brute-force
+/// path above; benches and tests also apply it to memoized arrays).
 HitStats chain_stats_from_counts(const ChainHitCounts& counts,
                                  const SubComputation& sub);
 

@@ -62,8 +62,8 @@ FullRoutingStats verify_full_routing_aggregated(const ChainRouter& router,
                                                 const SubComputation& sub);
 
 /// The aggregated Theorem-2 verdict from an already-computed chain hit
-/// array (shared by verify_full_routing_aggregated and the memoized
-/// engine: both produce Lemma-3 counts, then derive Theorem 2 here).
+/// array (verify_full_routing_aggregated; benches and tests also apply
+/// it to memoized arrays).
 FullRoutingStats full_routing_from_chain_counts(const SubComputation& sub,
                                                 const ChainHitCounts& chains);
 

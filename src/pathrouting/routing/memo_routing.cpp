@@ -171,11 +171,7 @@ struct MemoRoutingEngine::CanonicalCounts {
   explicit CanonicalCounts(Layout layout) : layout(std::move(layout)) {}
   Layout layout;  // the standalone canonical G_k
   std::vector<std::uint64_t> chain_hits;
-  std::uint64_t chain_max = 0;
-  VertexId chain_argmax = 0;
   std::vector<std::uint64_t> decode_hits;  // empty without a decoder
-  std::uint64_t decode_max = 0;
-  VertexId decode_argmax = 0;
 };
 
 MemoRoutingEngine::~MemoRoutingEngine() = default;
@@ -235,14 +231,6 @@ MemoRoutingEngine::MemoRoutingEngine(const ChainRouter& router,
   for (const std::uint64_t c : co_) co_sum_ += c;
 }
 
-void MemoRoutingEngine::check_sub(const SubComputation& sub) const {
-  const Layout& layout = sub.cdag().layout();
-  PR_REQUIRE_MSG(layout.n0() == alg_.n0() && layout.b() == alg_.b(),
-                 "subcomputation belongs to a different base algorithm");
-  PR_REQUIRE_MSG(sub.k() >= 1,
-                 "memoized engine routes G_k copies with k >= 1");
-}
-
 const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
     int k) const {
   static obs::Counter obs_hits("memo.canonical_cache_hits");
@@ -295,12 +283,6 @@ const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
       }
     }
   }
-  for (VertexId v = 0; v < local.num_vertices(); ++v) {
-    if (cc->chain_hits[v] > cc->chain_max) {
-      cc->chain_max = cc->chain_hits[v];
-      cc->chain_argmax = v;
-    }
-  }
 
   // --- Claim-1 decode hits, closed form (see header). ---
   if (decoder_.has_value()) {
@@ -324,12 +306,6 @@ const MemoRoutingEngine::CanonicalCounts& MemoRoutingEngine::canonical(
     for (std::uint64_t p = 0; p < pow_a(k); ++p) {
       cc->decode_hits[local.dec(k, 0, p)] =
           co_[p / pow_a(k - 1)] * pow_b(k - 1);
-    }
-    for (VertexId v = 0; v < local.num_vertices(); ++v) {
-      if (cc->decode_hits[v] > cc->decode_max) {
-        cc->decode_max = cc->decode_hits[v];
-        cc->decode_argmax = v;
-      }
     }
   }
 
@@ -356,8 +332,8 @@ std::span<const std::uint64_t> MemoRoutingEngine::canonical_decode_hit_array(
 }
 
 ChainHitCounts MemoRoutingEngine::chain_hits(const SubComputation& sub) const {
-  check_sub(sub);
   const obs::TraceSpan span("memo.chain_hits");
+  const HitStats stats = verify_chain_routing(sub);
   const Layout& global = sub.cdag().layout();
   const int k = sub.k();
   const CanonicalCounts& cc = canonical(k);
@@ -370,24 +346,22 @@ ChainHitCounts MemoRoutingEngine::chain_hits(const SubComputation& sub) const {
   }
   static obs::Counter obs_blocks("memo.copy_blocks");
   obs_blocks.add(map.blocks().size());
-  counts.num_chains =
-      2 * global.pow_a()(k) * guaranteed_fanout(global, k);
-  // Blocks are monotone in both id spaces and everything outside the
-  // copy is zero, so the smallest-id argmax translates verbatim.
-  counts.max_hits = cc.chain_max;
-  counts.argmax = map.to_global(cc.chain_argmax);
+  counts.num_chains = stats.num_paths;
+  counts.max_hits = stats.max_hits;
+  counts.argmax = stats.argmax;
   return counts;
 }
 
 HitStats MemoRoutingEngine::verify_chain_routing(
     const SubComputation& sub) const {
-  return chain_stats_from_counts(chain_hits(sub), sub);
+  return verify_chain_routing(cdag::ExplicitView(sub.cdag()), sub.k(),
+                              sub.prefix());
 }
 
 bool MemoRoutingEngine::verify_chain_multiplicities(
     const SubComputation& sub) const {
-  check_sub(sub);
-  return chain_multiplicities_ok();
+  return verify_chain_multiplicities(cdag::ExplicitView(sub.cdag()), sub.k(),
+                                     sub.prefix());
 }
 
 bool MemoRoutingEngine::chain_multiplicities_ok() const {
@@ -437,12 +411,13 @@ bool MemoRoutingEngine::chain_multiplicities_ok() const {
 
 FullRoutingStats MemoRoutingEngine::verify_full_routing(
     const SubComputation& sub) const {
-  return full_routing_from_chain_counts(sub, chain_hits(sub));
+  return verify_full_routing(cdag::ExplicitView(sub.cdag()), sub.k(),
+                             sub.prefix());
 }
 
 std::vector<std::uint64_t> MemoRoutingEngine::decode_hits(
     const SubComputation& sub) const {
-  check_sub(sub);
+  check_view(cdag::ExplicitView(sub.cdag()), sub.k(), sub.prefix());
   PR_REQUIRE_MSG(has_decoder(),
                  "engine was constructed without a DecodeRouter");
   const obs::TraceSpan span("memo.decode_hits");
@@ -461,20 +436,8 @@ std::vector<std::uint64_t> MemoRoutingEngine::decode_hits(
 
 HitStats MemoRoutingEngine::verify_decode_routing(
     const SubComputation& sub) const {
-  check_sub(sub);
-  PR_REQUIRE_MSG(has_decoder(),
-                 "engine was constructed without a DecodeRouter");
-  const Layout& global = sub.cdag().layout();
-  const int k = sub.k();
-  const CanonicalCounts& cc = canonical(k);
-  const CopyTranslation map(global, k, sub.prefix());
-  HitStats stats;
-  stats.num_paths = global.pow_b()(k) * global.pow_a()(k);
-  stats.bound = static_cast<std::uint64_t>(decoder_->d1_size()) *
-                std::max(global.pow_a()(k), global.pow_b()(k));
-  stats.max_hits = cc.decode_max;
-  stats.argmax = map.to_global(cc.decode_argmax);
-  return stats;
+  return verify_decode_routing(cdag::ExplicitView(sub.cdag()), sub.k(),
+                               sub.prefix());
 }
 
 void MemoRoutingEngine::check_view(const cdag::CdagView& view, int k,

@@ -2,15 +2,13 @@
 //
 // By Fact 1 the b^{r-k} copies of G_k inside G_r are pairwise
 // isomorphic, and the Lemma-3 / Theorem-2 / Claim-1 routings are
-// defined purely in G_k-local coordinates — so their per-vertex hit
-// counts are IDENTICAL on every copy up to the Fact-1 vertex renaming
-// (cdag::CopyTranslation). The engine therefore computes each hit array
-// once, on a standalone canonical G_k, and translates it to any copy by
-// contiguous block copies.
+// defined purely in G_k-local coordinates — so every verdict is a
+// function of (algorithm, k, prefix), and the per-vertex hit counts are
+// IDENTICAL on every copy up to the Fact-1 vertex renaming
+// (cdag::CopyTranslation).
 //
-// The canonical arrays themselves are not obtained by enumerating
-// chains either: the routings factor digit-by-digit, which collapses
-// the per-vertex counts to closed forms.
+// The counts are not obtained by enumerating chains either: the
+// routings factor digit-by-digit, which collapses them to closed forms.
 //
 //   Chains (Lemma 3). With M_side[q] = #{guaranteed digit pairs (d,e)
 //   with mu_side(d,e) = q} and the prefix products
@@ -30,14 +28,24 @@
 //   digit chain carrying each of the three sequence roles exactly n0
 //   times at k = 1 lifts to exactly 3*n0^k uses per chain at any k.
 //
-// Filling an array costs O(num_vertices) instead of
-// O(num_chains * (2k+2)); everything downstream (max, argmax,
-// Theorem-2 aggregation) is shared with the brute-force engine, whose
-// enumerating counters (count_chain_hits, count_decode_hits) remain
-// the oracle the memoized results are cross-checked against in tests
-// and benchmarks. Closed-form hit *totals* double as certificates the
-// audit layer compares against the materialized arrays
-// (routing.memo-totals).
+// Verdicts. Each of the four verifiers has exactly one implementation,
+// the (CdagView, k, prefix) overload: within a rank the counts depend
+// only on the wrapped prefix products of the recursion-path digits, so
+// one DP over those digit-state classes yields max, smallest-id argmax
+// and the Theorem-2 root/meta accounting without a per-vertex array.
+// The SubComputation overloads forward to it through cdag::ExplicitView.
+//
+// Hit arrays. chain_hits / decode_hits fill the closed forms once per k
+// on a standalone canonical G_k (cached) and translate them to a copy
+// by contiguous block copies: O(num_vertices) instead of
+// O(num_chains * (2k+2)). The canonical arrays are also what the
+// certificate service digests.
+//
+// The enumerating counters (count_chain_hits,
+// verify_full_routing_{aggregated,enumerated}, count_decode_hits) are
+// the independent oracle the engine is checked against in tests. The
+// audit rule routing.memo-totals reconciles each array with the
+// closed-form totals and with its verdict's max/argmax.
 #pragma once
 
 #include <cstdint>
@@ -74,8 +82,10 @@ class MemoRoutingEngine {
   [[nodiscard]] const BilinearAlgorithm& algorithm() const { return alg_; }
 
   /// Lemma-3 hit counts of `sub`, bit-identical to
-  /// count_chain_hits(router, sub) (the brute oracle). Requires
-  /// sub.k() >= 1 and a CDAG of the engine's base algorithm.
+  /// count_chain_hits(router, sub) (the brute oracle); max/argmax come
+  /// from verify_chain_routing. Requires sub.k() >= 1 and a CDAG of the
+  /// engine's base algorithm. The SubComputation verifiers below
+  /// forward to the view overloads through cdag::ExplicitView.
   [[nodiscard]] ChainHitCounts chain_hits(const cdag::SubComputation& sub) const;
   [[nodiscard]] HitStats verify_chain_routing(
       const cdag::SubComputation& sub) const;
@@ -87,8 +97,8 @@ class MemoRoutingEngine {
   [[nodiscard]] bool verify_chain_multiplicities(
       const cdag::SubComputation& sub) const;
 
-  /// Theorem 2 from the memoized chain counts (same aggregation path
-  /// as verify_full_routing_aggregated).
+  /// Theorem 2, bit-identical to verify_full_routing_aggregated (the
+  /// oracle's aggregation of the chain counts).
   [[nodiscard]] FullRoutingStats verify_full_routing(
       const cdag::SubComputation& sub) const;
 
@@ -98,19 +108,14 @@ class MemoRoutingEngine {
   [[nodiscard]] HitStats verify_decode_routing(
       const cdag::SubComputation& sub) const;
 
-  /// Constant-memory (implicit-engine) counterparts of the verifiers
-  /// above. They address the copy G_k^prefix inside `view` directly by
-  /// (k, prefix) — a SubComputation needs a materialized Cdag, which is
-  /// exactly what this path avoids — and never allocate a per-vertex
-  /// array: within a rank the hit counts depend only on the wrapped
-  /// prefix products of the recursion-path digits, so one DP over
-  /// digit-state classes (pairs of wrapped products, with the smallest
-  /// representative word per class) reproduces the canonical scans —
-  /// max, smallest-id argmax, Theorem-2 root/meta accounting — in
-  /// O(k * b * #states) time and memory. Results are bit-identical to
-  /// the array-backed overloads for every k where both run, including
-  /// uint64 wraparound and argmax tie-breaking (enforced by the audit
-  /// rule routing.implicit-match and tests/test_implicit_cdag).
+  /// The verifiers themselves. They address the copy G_k^prefix inside
+  /// `view` directly by (k, prefix), so they also run on an implicit
+  /// view where no Cdag is materialized, and never allocate a
+  /// per-vertex array: one DP over digit-state classes (pairs of
+  /// wrapped prefix products, with the smallest representative word per
+  /// class) reproduces what a scan of the hit array would give — max,
+  /// smallest-id argmax, Theorem-2 root/meta accounting, uint64
+  /// wraparound included — in O(k * b * #states) time and memory.
   [[nodiscard]] HitStats verify_chain_routing(const cdag::CdagView& view,
                                               int k,
                                               std::uint64_t prefix) const;
@@ -156,7 +161,6 @@ class MemoRoutingEngine {
   /// requests from one shared engine arena.
   struct CanonicalCounts;
   [[nodiscard]] const CanonicalCounts& canonical(int k) const;
-  void check_sub(const cdag::SubComputation& sub) const;
   void check_view(const cdag::CdagView& view, int k,
                   std::uint64_t prefix) const;
   /// Lemma 4's digit-level accounting, shared by both overloads.

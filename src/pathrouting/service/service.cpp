@@ -49,6 +49,19 @@ int max_rank_within_ids(const bilinear::BilinearAlgorithm& alg) {
   return r;
 }
 
+/// Largest rank (at most `max_rank`) whose explicit CDAG the builder
+/// can address: its edge count stays below the 32-bit edge offsets.
+int max_rank_within_edges(const bilinear::BilinearAlgorithm& alg,
+                          int max_rank) {
+  int r = 0;
+  while (r < max_rank &&
+         cdag::edge_count(alg, cdag::Layout(alg.n0(), alg.b(), r + 1)) <
+             cdag::kInvalidVertex) {
+    ++r;
+  }
+  return r;
+}
+
 bool known_algorithm(const std::string& name) {
   const std::vector<std::string> names = bilinear::catalog_names();
   return std::find(names.begin(), names.end(), name) != names.end();
@@ -64,6 +77,7 @@ struct CertificateService::EngineArena {
   bilinear::BilinearAlgorithm alg;
   std::uint64_t digest = 0;  // algorithm_digest(alg)
   int max_rank = 0;          // id-space ceiling for requests
+  int max_segment_rank = 0;  // edge-offset ceiling for explicit builds
   bool has_decode = false;   // decoding graph connected (Claim 1 applies)
   std::optional<routing::MemoRoutingEngine> engine;
   /// Per-kind overflow envelopes for response annotation. Only the
@@ -76,6 +90,7 @@ struct CertificateService::EngineArena {
       : alg(std::move(algorithm)),
         digest(algorithm_digest(alg)),
         max_rank(max_rank_within_ids(alg)),
+        max_segment_rank(max_rank_within_edges(alg, max_rank)),
         has_decode(bilinear::decoding_components(alg) == 1) {
     const routing::ChainRouter router(alg);
     if (has_decode) {
@@ -144,11 +159,19 @@ std::string CertificateService::validate(const EngineArena& arena,
        << "' has a disconnected decoding graph; Claim 1 does not apply";
     return os.str();
   }
-  if (request.kind == CertKind::kSegment &&
-      request.k > config_.segment_max_k) {
-    os << "segment certificates build an explicit CDAG; k " << request.k
-       << " exceeds the configured ceiling " << config_.segment_max_k;
-    return os.str();
+  if (request.kind == CertKind::kSegment) {
+    if (request.k > config_.segment_max_k) {
+      os << "segment certificates build an explicit CDAG; k " << request.k
+         << " exceeds the configured ceiling " << config_.segment_max_k;
+      return os.str();
+    }
+    if (request.k > arena.max_segment_rank) {
+      os << "segment certificates build an explicit CDAG; G_" << request.k
+         << " of '" << arena.alg.name()
+         << "' has too many edges for the 32-bit edge offsets (largest k "
+         << arena.max_segment_rank << ")";
+      return os.str();
+    }
   }
   return std::string();
 }

@@ -31,7 +31,8 @@
 //   full    — Theorem-2 stats
 //   decode  — Claim-1 stats (connected decoding graphs only)
 //   segment — Sections-5 certifier summary over a DFS schedule (this
-//             one builds an explicit CDAG, hence config.segment_max_k)
+//             one builds an explicit CDAG, hence config.segment_max_k
+//             and the builder's 32-bit edge limit, cdag::edge_count)
 // plus, for chain/decode/full below config.digest_max_vertices, the
 // FNV-1a digest of the canonical per-vertex hit array — bit-identical
 // to the golden corpus digests, because for sub(G_k, k, 0) the Fact-1

@@ -63,10 +63,10 @@ void append_matching(std::ostringstream& os, const char* label,
 
 /// Implicit-engine certificate lines for k = 1..kmax_implicit. The
 /// constant-memory verifiers pin their stats (argmax vertex ids
-/// included) well past the explicit vertex budget; equality with the
-/// array-backed engine below that budget is enforced by
-/// tests/test_implicit_cdag and the routing.implicit-match audit rule,
-/// so these lines freeze the deep-k values no other engine reaches.
+/// included) well past the explicit vertex budget; below that budget
+/// tests/test_memo_routing checks the same verifiers against the
+/// brute-force oracle, so these lines freeze the deep-k values no
+/// oracle reaches.
 void append_implicit(std::ostringstream& os,
                      const routing::MemoRoutingEngine& memo,
                      const bilinear::BilinearAlgorithm& alg,

@@ -404,7 +404,7 @@ TEST(CertificateService, SecondServeHitsTheStore) {
 
 TEST(CertificateService, DeepRankSkipsTheHitDigest) {
   service::ServiceConfig config;
-  config.digest_max_vertices = 100;  // force the implicit-only path
+  config.digest_max_vertices = 100;  // no canonical array, no digest
   service::CertificateService svc(config);
   const service::Response resp =
       svc.serve({"strassen", 4, CertKind::kChain});
@@ -437,7 +437,17 @@ TEST(CertificateService, RejectsInvalidRequestsWithDiagnostics) {
   EXPECT_FALSE(deep.ok);
   EXPECT_NE(deep.error.find("segment"), std::string::npos);
 
-  EXPECT_EQ(svc.metrics().errors, 4u);
+  // Within the id space and segment_max_k, but G_4 of this wide base
+  // has more edges than the builder's 32-bit offsets can address: a
+  // diagnostic, not an abort, and the service keeps serving.
+  const service::Response wide =
+      svc.serve({"strassen_x_laderman", 4, CertKind::kSegment});
+  EXPECT_FALSE(wide.ok);
+  EXPECT_NE(wide.error.find("32-bit edge offsets"), std::string::npos)
+      << wide.error;
+  EXPECT_TRUE(svc.serve({"strassen", 2, CertKind::kSegment}).ok);
+
+  EXPECT_EQ(svc.metrics().errors, 5u);
 }
 
 TEST(CertificateService, SegmentCertificateMatchesCertifier) {
