@@ -1,164 +1,172 @@
 #include "pathrouting/pebble/cache_sim.hpp"
 
 #include <algorithm>
+#include <limits>
 
-#include "pathrouting/pebble/policies.hpp"
+#include "pathrouting/obs/obs.hpp"
 
 namespace pathrouting::pebble {
 
 namespace {
 
-/// Positions in the schedule at which each vertex is consumed as an
-/// operand, in increasing order (CSR layout).
-struct UseLists {
-  std::vector<std::uint32_t> off;
-  std::vector<std::uint32_t> steps;
+/// Next-use step of a value that no later step reads (a dead value).
+/// The largest possible step, so Belady prefers dead victims.
+constexpr std::uint32_t kNeverUsed = std::numeric_limits<std::uint32_t>::max();
+/// VertexState::slot of a value that is not in cache.
+constexpr std::uint32_t kNotCached = std::numeric_limits<std::uint32_t>::max();
+/// How many accesses ahead the main loop prefetches vertex state. On a
+/// large graph in random order those loads are the main cost.
+constexpr std::size_t kPrefetchAhead = 32;
+
+/// Per-vertex state: where the value sits in the resident heap, and
+/// whether slow memory holds (or must hold at halt) a copy.
+struct VertexState {
+  std::uint32_t slot = kNotCached;
+  bool written = false;
+  bool output = false;
 };
 
-UseLists build_use_lists(const Graph& graph,
-                         std::span<const VertexId> schedule) {
-  UseLists uses;
-  uses.off.assign(static_cast<std::size_t>(graph.num_vertices()) + 1, 0);
-  for (const VertexId v : schedule) {
-    for (const VertexId p : graph.in(v)) ++uses.off[p + 1];
+/// One cached value.
+struct Slot {
+  std::uint64_t key;        // eviction priority: the largest key goes first
+  VertexId vertex;
+  std::uint32_t next_use;   // step of the next read, kNeverUsed if dead
+  std::uint32_t pin;        // 1 + the last step that needs it in cache
+  std::uint32_t segment;    // segment that computed it (read while dirty)
+  bool dirty;               // computed, no slow-memory copy yet
+};
+
+/// Indexed binary max-heap over the cached values: the top is the
+/// largest key, ties to the lowest VertexId (the documented tie rule
+/// for both policies). Every move records the value's position in its
+/// VertexState::slot, so a cached value is re-keyed in place.
+class ResidentHeap {
+ public:
+  explicit ResidentHeap(std::vector<VertexState>& state) : state_(state) {}
+
+  [[nodiscard]] std::size_t size() const { return slots_.size(); }
+  [[nodiscard]] Slot& at(std::uint32_t pos) { return slots_[pos]; }
+
+  void push(const Slot& slot) {
+    slots_.push_back(slot);
+    sift_up(slots_.size() - 1, slot);
   }
-  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-    uses.off[v + 1] += uses.off[v];
+
+  /// A cached value was read again: new next use, new key.
+  void touch(std::uint32_t pos, std::uint64_t key, std::uint32_t next_use) {
+    Slot slot = slots_[pos];
+    slot.key = key;
+    slot.next_use = next_use;
+    settle(pos, slot);
   }
-  uses.steps.resize(uses.off.back());
-  std::vector<std::uint32_t> cursor(uses.off.begin(), uses.off.end() - 1);
-  for (std::uint32_t s = 0; s < schedule.size(); ++s) {
-    for (const VertexId p : graph.in(schedule[s])) {
-      uses.steps[cursor[p]++] = s;
+
+  /// Removes and returns the top value whose pin is not `stamp`. Pinned
+  /// values (at most in-degree + 1) are not moved: the victim is the
+  /// best unpinned value whose ancestors are all pinned.
+  Slot pop_unpinned(std::uint32_t stamp) {
+    std::size_t best = slots_.size();
+    frontier_.assign(1, 0);
+    while (!frontier_.empty()) {
+      const std::size_t i = frontier_.back();
+      frontier_.pop_back();
+      if (i >= slots_.size()) continue;
+      if (slots_[i].pin != stamp) {
+        if (best == slots_.size() || above(slots_[i], slots_[best])) best = i;
+        continue;
+      }
+      frontier_.push_back(2 * i + 1);
+      frontier_.push_back(2 * i + 2);
     }
+    PR_ASSERT_MSG(best < slots_.size(), "no evictable cache entry");
+    const Slot victim = slots_[best];
+    state_[victim.vertex].slot = kNotCached;
+    const Slot last = slots_.back();
+    slots_.pop_back();
+    if (best < slots_.size()) settle(best, last);
+    return victim;
   }
-  return uses;
-}
 
-template <typename Policy>
-PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
-                 const PebbleOptions& options,
-                 const std::function<bool(VertexId)>& is_output) {
-  const std::uint64_t m = options.cache_size;
-  const VertexId n = graph.num_vertices();
-  const UseLists uses = build_use_lists(graph, schedule);
-  std::vector<std::uint32_t> use_ptr(uses.off.begin(), uses.off.end() - 1);
-
-  Policy policy(n);
-  std::vector<std::uint8_t> in_cache(n, 0), dirty(n, 0), written(n, 0);
-  // Inputs have a slow-memory copy from the start.
-  for (VertexId v = 0; v < n; ++v) written[v] = graph.in_degree(v) == 0;
-  std::vector<std::uint32_t> pin_stamp(n, 0);
-  std::vector<std::uint32_t> next_use(n, 0);
-  std::uint64_t cached = 0;
-  PebbleResult result;
-  result.steps = schedule.size();
-
-  // Segment attribution (optional). `birth_segment[v]` is the segment
-  // that computed v; reads are charged to the segment issuing them and
-  // writes to the written value's birth segment.
-  const auto& ends = options.segment_ends;
-  const bool segmented = !ends.empty();
-  std::vector<std::uint32_t> birth_segment;
-  std::uint32_t current_segment = 0;
-  if (segmented) {
-    PR_REQUIRE(std::is_sorted(ends.begin(), ends.end()));
-    PR_REQUIRE(ends.back() == schedule.size());
-    result.segment_reads.assign(ends.size(), 0);
-    result.segment_writes.assign(ends.size(), 0);
-    birth_segment.assign(n, 0);
+ private:
+  static bool above(const Slot& a, const Slot& b) {
+    return a.key != b.key ? a.key > b.key : a.vertex < b.vertex;
   }
-  if (options.record_step_io) result.step_io.assign(schedule.size(), 0);
-  std::uint32_t current_step = 0;
-  const auto charge_step = [&] {
-    if (options.record_step_io) ++result.step_io[current_step];
-  };
 
-  // Next consumption of v strictly after step s (kNeverUsed if none),
-  // advancing the monotone per-vertex cursor.
-  const auto advance_next_use = [&](VertexId v, std::uint32_t s) {
-    std::uint32_t& ptr = use_ptr[v];
-    while (ptr < uses.off[v + 1] && uses.steps[ptr] <= s) ++ptr;
-    return ptr < uses.off[v + 1] ? std::uint64_t{uses.steps[ptr]} : kNeverUsed;
-  };
+  void place(std::size_t pos, const Slot& slot) {
+    slots_[pos] = slot;
+    state_[slot.vertex].slot = static_cast<std::uint32_t>(pos);
+  }
 
-  const auto note_access = [&](VertexId v, std::uint64_t nu) {
-    next_use[v] = nu == kNeverUsed ? UINT32_MAX : static_cast<std::uint32_t>(nu);
-    if constexpr (std::is_same_v<Policy, LruPolicy>) {
-      policy.touch(v);
+  /// Puts `slot` at `pos`, moving it up or down to restore the order.
+  void settle(std::size_t pos, const Slot& slot) {
+    if (pos > 0 && above(slot, slots_[(pos - 1) / 2])) {
+      sift_up(pos, slot);
     } else {
-      policy.update(v, nu);
+      sift_down(pos, slot);
     }
-  };
+  }
 
-  const auto evict_one = [&](std::uint32_t stamp) {
-    const VertexId victim =
-        policy.pick([&](VertexId u) { return in_cache[u] != 0; },
-                    [&](VertexId u) { return pin_stamp[u] == stamp; });
-    if (dirty[victim] &&
-        (next_use[victim] != UINT32_MAX ||
-         (is_output(victim) && !written[victim]))) {
-      ++result.writes;
-      ++result.evictions_dirty;
-      charge_step();
-      if (segmented) ++result.segment_writes[birth_segment[victim]];
-      written[victim] = 1;
-    } else {
-      ++result.evictions_clean;
+  void sift_up(std::size_t pos, const Slot& slot) {
+    while (pos > 0) {
+      const std::size_t parent = (pos - 1) / 2;
+      if (!above(slot, slots_[parent])) break;
+      place(pos, slots_[parent]);
+      pos = parent;
     }
-    dirty[victim] = 0;
-    in_cache[victim] = 0;
-    --cached;
-  };
+    place(pos, slot);
+  }
 
-  for (std::uint32_t s = 0; s < schedule.size(); ++s) {
-    current_step = s;
-    if (segmented && s >= ends[current_segment]) ++current_segment;
+  void sift_down(std::size_t pos, const Slot& slot) {
+    const std::size_t n = slots_.size();
+    while (true) {
+      std::size_t child = 2 * pos + 1;
+      if (child >= n) break;
+      if (child + 1 < n && above(slots_[child + 1], slots_[child])) ++child;
+      if (!above(slots_[child], slot)) break;
+      place(pos, slots_[child]);
+      pos = child;
+    }
+    place(pos, slot);
+  }
+
+  std::vector<VertexState>& state_;
+  std::vector<Slot> slots_;
+  std::vector<std::size_t> frontier_;
+};
+
+/// One value access of the schedule and the next step that reads the
+/// value after it (kNeverUsed if none).
+struct Access {
+  VertexId vertex;
+  std::uint32_t next_use;
+};
+
+/// Every access of the schedule in order, from one backward pass: for
+/// each step, its operands (graph.in order), then the vertex it
+/// computes. A step's operand run ends at that vertex, which is never
+/// its own operand. Checks what each step needs of the cache.
+std::vector<Access> access_stream(const Graph& graph,
+                                  std::span<const VertexId> schedule,
+                                  std::uint64_t cache_size) {
+  std::size_t len = schedule.size();
+  for (const VertexId v : schedule) len += graph.in_degree(v);
+  std::vector<Access> stream(len);
+  std::vector<std::uint32_t> next(graph.num_vertices(), kNeverUsed);
+  std::size_t pos = len;
+  for (auto s = static_cast<std::uint32_t>(schedule.size()); s-- > 0;) {
     const VertexId v = schedule[s];
     const auto preds = graph.in(v);
     PR_REQUIRE_MSG(!preds.empty(), "inputs are not scheduled");
-    PR_REQUIRE_MSG(preds.size() + 1 <= m, "cache too small for this vertex");
-    const std::uint32_t stamp = s + 1;
-    for (const VertexId p : preds) pin_stamp[p] = stamp;
-    // Stage operands; each read needs a slow-memory copy to exist.
-    for (const VertexId p : preds) {
-      if (!in_cache[p]) {
-        PR_ASSERT_MSG(written[p],
-                      "operand neither cached nor in slow memory: schedule "
-                      "is not topological");
-        while (cached >= m) evict_one(stamp);
-        ++result.reads;
-        charge_step();
-        if (segmented) ++result.segment_reads[current_segment];
-        in_cache[p] = 1;
-        dirty[p] = 0;
-        ++cached;
-      }
-      note_access(p, advance_next_use(p, s));
+    PR_REQUIRE_MSG(preds.size() + 1 <= cache_size,
+                   "cache too small for this vertex");
+    stream[--pos] = {v, next[v]};
+    pos -= preds.size();
+    for (std::size_t i = 0; i < preds.size(); ++i) {
+      PR_ASSERT_MSG(preds[i] != v, "self-loop: schedule is not topological");
+      stream[pos + i] = {preds[i], next[preds[i]]};
     }
-    // Compute v into cache.
-    PR_ASSERT_MSG(!in_cache[v], "vertex computed twice");
-    pin_stamp[v] = stamp;
-    while (cached >= m) evict_one(stamp);
-    in_cache[v] = 1;
-    dirty[v] = 1;
-    if (segmented) birth_segment[v] = current_segment;
-    ++cached;
-    result.peak_cached = std::max(result.peak_cached, cached);
-    note_access(v, advance_next_use(v, s));
+    for (const VertexId p : preds) next[p] = s;
   }
-
-  // Halt: flush outputs that never reached slow memory.
-  for (VertexId v = 0; v < n; ++v) {
-    if (is_output(v) && !written[v]) {
-      PR_ASSERT_MSG(in_cache[v] && dirty[v], "lost output value");
-      ++result.writes;
-      charge_step();
-      if (segmented) ++result.segment_writes[birth_segment[v]];
-      written[v] = 1;
-    }
-  }
-  return result;
+  return stream;
 }
 
 }  // namespace
@@ -166,11 +174,124 @@ PebbleResult run(const Graph& graph, std::span<const VertexId> schedule,
 PebbleResult simulate(const Graph& graph, std::span<const VertexId> schedule,
                       const PebbleOptions& options,
                       const std::function<bool(VertexId)>& is_output) {
+  const obs::TraceSpan span("pebble.simulate");
+  static obs::Counter obs_steps("pebble.sim_steps");
+  static obs::Counter obs_io("pebble.sim_io");
   PR_REQUIRE(options.cache_size >= 2);
-  if (options.eviction == Eviction::Belady) {
-    return run<BeladyPolicy>(graph, schedule, options, is_output);
+  const std::uint64_t m = options.cache_size;
+  const bool lru = options.eviction == Eviction::Lru;
+  const VertexId n = graph.num_vertices();
+
+  std::vector<VertexState> state(n);
+  for (VertexId v = 0; v < n; ++v) {
+    // Inputs have a slow-memory copy from the start.
+    state[v].written = graph.in_degree(v) == 0;
+    state[v].output = is_output(v);
   }
-  return run<LruPolicy>(graph, schedule, options, is_output);
+  const std::vector<Access> accesses = access_stream(graph, schedule, m);
+  ResidentHeap heap(state);
+  PebbleResult result;
+  result.steps = schedule.size();
+
+  // Segment attribution (optional): reads are charged to the segment
+  // issuing them and writes to the written value's birth segment.
+  const auto& ends = options.segment_ends;
+  const bool segmented = !ends.empty();
+  std::uint32_t current_segment = 0;
+  if (segmented) {
+    PR_REQUIRE(std::is_sorted(ends.begin(), ends.end()));
+    PR_REQUIRE(ends.back() == schedule.size());
+    result.segment_reads.assign(ends.size(), 0);
+    result.segment_writes.assign(ends.size(), 0);
+  }
+  if (options.record_step_io) result.step_io.assign(schedule.size(), 0);
+  std::uint32_t current_step = 0;
+  const auto charge_write = [&](std::uint32_t segment) {
+    ++result.writes;
+    if (options.record_step_io) ++result.step_io[current_step];
+    if (segmented) ++result.segment_writes[segment];
+  };
+
+  // The policy is the key alone: Belady evicts the furthest next use,
+  // LRU the oldest access.
+  std::uint64_t clock = 0;
+  const auto key_of = [&](std::uint32_t next_use) -> std::uint64_t {
+    ++clock;
+    return lru ? std::numeric_limits<std::uint64_t>::max() - clock
+               : next_use;
+  };
+
+  // Evicts the top value not pinned by this step (its operands and
+  // result), writing it back first if it is needed later.
+  const auto evict_one = [&](std::uint32_t stamp) {
+    const Slot victim = heap.pop_unpinned(stamp);
+    VertexState& vs = state[victim.vertex];
+    if (victim.dirty &&
+        (victim.next_use != kNeverUsed || (vs.output && !vs.written))) {
+      ++result.evictions_dirty;
+      charge_write(victim.segment);
+      vs.written = true;
+    } else {
+      ++result.evictions_clean;
+    }
+  };
+
+  std::size_t at = 0;  // into accesses
+  const auto next_access = [&]() -> const Access& {
+    if (at + kPrefetchAhead < accesses.size()) {
+      __builtin_prefetch(&state[accesses[at + kPrefetchAhead].vertex]);
+    }
+    return accesses[at++];
+  };
+  for (std::uint32_t s = 0; s < schedule.size(); ++s) {
+    current_step = s;
+    while (segmented && s >= ends[current_segment]) ++current_segment;
+    const VertexId v = schedule[s];
+    const std::uint32_t stamp = s + 1;
+    for (std::size_t i = at; accesses[i].vertex != v; ++i) {
+      const std::uint32_t pos = state[accesses[i].vertex].slot;
+      if (pos != kNotCached) heap.at(pos).pin = stamp;
+    }
+    // Stage operands; each read needs a slow-memory copy to exist.
+    while (accesses[at].vertex != v) {
+      const Access& operand = next_access();
+      const VertexId p = operand.vertex;
+      const std::uint32_t pos = state[p].slot;
+      if (pos == kNotCached) {
+        PR_ASSERT_MSG(state[p].written,
+                      "operand neither cached nor in slow memory: schedule "
+                      "is not topological");
+        if (heap.size() == m) evict_one(stamp);
+        ++result.reads;
+        if (options.record_step_io) ++result.step_io[s];
+        if (segmented) ++result.segment_reads[current_segment];
+        heap.push({key_of(operand.next_use), p, operand.next_use, stamp, 0,
+                   false});
+      } else {
+        heap.touch(pos, key_of(operand.next_use), operand.next_use);
+      }
+    }
+    // Compute v into cache.
+    PR_ASSERT_MSG(state[v].slot == kNotCached, "vertex computed twice");
+    const std::uint32_t first_use = next_access().next_use;
+    if (heap.size() == m) evict_one(stamp);
+    heap.push({key_of(first_use), v, first_use, stamp, current_segment, true});
+    result.peak_cached = std::max<std::uint64_t>(result.peak_cached,
+                                                 heap.size());
+  }
+
+  // Halt: flush outputs that never reached slow memory.
+  for (VertexId v = 0; v < n; ++v) {
+    VertexState& vs = state[v];
+    if (!vs.output || vs.written) continue;
+    PR_ASSERT_MSG(vs.slot != kNotCached && heap.at(vs.slot).dirty,
+                  "lost output value");
+    charge_write(heap.at(vs.slot).segment);
+    vs.written = true;
+  }
+  obs_steps.add(result.steps);
+  obs_io.add(result.io());
+  return result;
 }
 
 }  // namespace pathrouting::pebble

@@ -18,10 +18,13 @@
 // future, preferring dead values) is the strong baseline; LRU is the
 // practical comparison for the ablation experiments.
 //
-// Victim ties (equal eviction key) break deterministically to the
-// lowest VertexId (policies.hpp). Counts are therefore a pure function
-// of (graph, schedule, M, policy) on every platform — the contract the
-// golden corpus and the schedule-search certificates pin.
+// Both policies evict from one indexed max-heap over the at most M
+// cached values (cache_sim.cpp), so eviction state is O(M). Its one
+// comparator, larger key first (Belady: next use; LRU: oldest access)
+// and then the lowest VertexId, is the victim tie rule. Counts are
+// therefore a pure function of (graph, schedule, M, policy) on every
+// platform — the contract the golden corpus and the schedule-search
+// certificates pin (tests/test_pebble.cpp).
 #pragma once
 
 #include <cstdint>
@@ -41,12 +44,13 @@ enum class Eviction { Belady, Lru };
 struct PebbleOptions {
   std::uint64_t cache_size = 0;  // M, in values
   Eviction eviction = Eviction::Belady;
-  /// Optional segment boundaries (exclusive end steps, strictly
-  /// increasing, last one = schedule size). When non-empty, the result
-  /// carries per-segment I/O attribution: reads land in the segment
-  /// whose steps issued them, writes in the segment that *computed* the
-  /// written value — the attribution under which the paper's
-  /// per-segment bound |delta'(S')| - 2M applies (Section 6).
+  /// Optional segment boundaries (exclusive end steps, non-decreasing,
+  /// last one = schedule size; an empty segment gets zero I/O). When
+  /// non-empty, the result carries per-segment I/O attribution: reads
+  /// land in the segment whose steps issued them, writes in the segment
+  /// that *computed* the written value — the attribution under which
+  /// the paper's per-segment bound |delta'(S')| - 2M applies
+  /// (Section 6).
   std::vector<std::uint32_t> segment_ends;
   /// Record the I/Os (reads + eviction/flush writes) issued while
   /// executing each step, for offline re-segmentation (the Hong-Kung

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/cdag/flat_classical.hpp"
+#include "pathrouting/obs/obs.hpp"
 #include "pathrouting/pebble/cache_sim.hpp"
 #include "pathrouting/schedule/schedules.hpp"
 
@@ -170,6 +173,35 @@ TEST(PebbleTest, ResultsAreDeterministic) {
   EXPECT_EQ(r1.writes, r2.writes);
 }
 
+TEST(PebbleTest, EachCallRecordsOneSpanAndItsTotals) {
+  // The pebble layer is observable per call, never per step: one
+  // `pebble.simulate` span and one add to each counter.
+  obs::set_enabled(true);
+  obs::reset_counters();
+  obs::clear_spans();
+  const Graph g = diamond();
+  const auto is_out = [](VertexId v) { return v == 5; };
+  const auto a = simulate(g, kDiamondOrder, {.cache_size = 3}, is_out);
+  const auto b = simulate(g, kDiamondOrder, {.cache_size = 10}, is_out);
+  const auto spans = obs::spans_snapshot();
+  const auto counters = obs::counters_snapshot();
+  obs::set_enabled(false);
+  EXPECT_EQ(std::count_if(spans.begin(), spans.end(),
+                          [](const obs::SpanRecord& span) {
+                            return std::string(span.name) == "pebble.simulate";
+                          }),
+            2);
+  const auto counter = [&](const std::string& name) {
+    for (const obs::CounterValue& c : counters) {
+      if (c.name == name) return c.value;
+    }
+    ADD_FAILURE() << "counter " << name << " not in snapshot";
+    return std::uint64_t{0};
+  };
+  EXPECT_EQ(counter("pebble.sim_steps"), a.steps + b.steps);
+  EXPECT_EQ(counter("pebble.sim_io"), a.io() + b.io());
+}
+
 }  // namespace
 
 namespace loop_order_tests {
@@ -226,16 +258,45 @@ Graph tie_witness() {
 TEST(PebbleTest, BeladyVictimTiesBreakToLowestVertexId) {
   // At M = 4 with the ascending order [2,3,4,5,6], Belady hits a
   // victim tie between equally-distant values; the documented rule
-  // (policies.hpp) evicts the lowest VertexId, which here keeps a
-  // dirty value cached and saves one spill. The legacy unspecified
-  // heap order (highest id on ties) paid 4 writes on this graph —
-  // this test pins the contract, not an accident of the heap.
+  // (the victim heap's comparator, cache_sim.hpp) evicts the lowest
+  // VertexId, which here keeps a dirty value cached and saves one
+  // spill. The legacy unspecified heap order (highest id on ties) paid
+  // 4 writes on this graph — this test pins the contract, not an
+  // accident of the heap.
   const Graph g = tie_witness();
   const std::vector<VertexId> order = {2, 3, 4, 5, 6};
   const auto res = simulate(g, order, {.cache_size = 4},
                             [](VertexId v) { return v >= 4; });
   EXPECT_EQ(res.reads, 3u);
   EXPECT_EQ(res.writes, 3u);
+}
+
+TEST(PebbleTest, EmptySegmentOnlyInsertsZeroAttribution) {
+  // Segment ends are non-decreasing: an empty segment is charged no
+  // I/O, and the step after it belongs to the next non-empty segment.
+  // Inserting one at any position only inserts a zero there in both
+  // per-segment vectors.
+  const Graph g = tie_witness();
+  const std::vector<VertexId> order = {2, 3, 4, 5, 6};
+  const auto is_out = [](VertexId v) { return v >= 4; };
+  const std::vector<std::uint32_t> ends = {3, 5};
+  const auto base =
+      simulate(g, order, {.cache_size = 4, .segment_ends = ends}, is_out);
+  EXPECT_EQ(base.segment_writes, (std::vector<std::uint64_t>{1, 2}));
+  for (std::size_t at = 0; at <= ends.size(); ++at) {
+    std::vector<std::uint32_t> with_empty = ends;
+    with_empty.insert(with_empty.begin() + static_cast<std::ptrdiff_t>(at),
+                      at == 0 ? 0 : ends[at - 1]);
+    const auto res = simulate(
+        g, order, {.cache_size = 4, .segment_ends = with_empty}, is_out);
+    std::vector<std::uint64_t> reads = base.segment_reads;
+    std::vector<std::uint64_t> writes = base.segment_writes;
+    reads.insert(reads.begin() + static_cast<std::ptrdiff_t>(at), 0);
+    writes.insert(writes.begin() + static_cast<std::ptrdiff_t>(at), 0);
+    EXPECT_EQ(res.segment_reads, reads) << "empty segment at " << at;
+    EXPECT_EQ(res.segment_writes, writes) << "empty segment at " << at;
+    EXPECT_EQ(res.io(), base.io());
+  }
 }
 
 TEST(PebbleTest, LruExactCountsOnCatalogDfs) {

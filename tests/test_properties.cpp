@@ -36,6 +36,13 @@ struct EverySchedule {
   std::uint64_t cache;
 };
 
+/// Without this gtest prints the raw object bytes, which include the
+/// string's heap pointer, so the listed test name changed with every
+/// process under ASLR.
+void PrintTo(const EverySchedule& p, std::ostream* os) {
+  *os << p.schedule << "_M" << p.cache;
+}
+
 class LowerBoundEverySchedule
     : public ::testing::TestWithParam<EverySchedule> {};
 
