@@ -35,8 +35,18 @@ AuditReport audit_search_certificate(const SearchCertificateView& cert,
         diag.vertex));
   }
 
-  if (schedule_findings.empty()) {
-    // Clause 2: the Belady re-simulation reproduces the claimed I/O.
+  // Clause 2: the Belady re-simulation reproduces the claimed I/O. The
+  // pebble game cannot run below its floor, so an M under it is a
+  // finding, not a re-simulation.
+  const std::uint64_t floor = pebble::min_cache_size(graph);
+  if (cert.cache_size < floor) {
+    std::ostringstream os;
+    os << "cache size M = " << cert.cache_size
+       << " is below the pebble game's floor max in-degree + 1 = " << floor
+       << "; the witness cannot be re-simulated";
+    findings.add(
+        internal::error_counts(kRule, os.str(), floor, cert.cache_size));
+  } else if (schedule_findings.empty()) {
     const pebble::PebbleResult sim = pebble::simulate(
         graph, cert.schedule, {.cache_size = cert.cache_size}, is_output);
     if (sim.io() != cert.claimed_io) {
@@ -49,23 +59,26 @@ AuditReport audit_search_certificate(const SearchCertificateView& cert,
     }
   }
 
-  // Clause 3: the root lower bound re-derives to the claimed value.
-  const bounds::PartialBound root = bounds::partial_schedule_lower_bound(
-      graph, {}, cert.cache_size, is_output);
-  std::uint64_t rederived = root.total();
-  if (cert.theorem1_a > 0) {
-    rederived = std::max(
-        rederived, bounds::theorem1_io_lower_bound(
-                       static_cast<int>(cert.theorem1_a),
-                       static_cast<int>(cert.theorem1_b), cert.theorem1_r,
-                       cert.cache_size));
-  }
-  if (rederived != cert.claimed_lower_bound) {
-    std::ostringstream os;
-    os << "root lower bound re-derives to " << rederived
-       << " but the certificate claims " << cert.claimed_lower_bound;
-    findings.add(internal::error_counts(kRule, os.str(),
-                                        cert.claimed_lower_bound, rederived));
+  // Clause 3: the root lower bound re-derives to the claimed value (the
+  // bound is defined for M >= 2; below that clause 2 already reported).
+  if (cert.cache_size >= 2) {
+    const bounds::PartialBound root = bounds::partial_schedule_lower_bound(
+        graph, {}, cert.cache_size, is_output);
+    std::uint64_t rederived = root.total();
+    if (cert.theorem1_a > 0) {
+      rederived = std::max(
+          rederived, bounds::theorem1_io_lower_bound(
+                         static_cast<int>(cert.theorem1_a),
+                         static_cast<int>(cert.theorem1_b), cert.theorem1_r,
+                         cert.cache_size));
+    }
+    if (rederived != cert.claimed_lower_bound) {
+      std::ostringstream os;
+      os << "root lower bound re-derives to " << rederived
+         << " but the certificate claims " << cert.claimed_lower_bound;
+      findings.add(internal::error_counts(
+          kRule, os.str(), cert.claimed_lower_bound, rederived));
+    }
   }
 
   // Clause 4: no claimed cost may undercut the claimed bound.

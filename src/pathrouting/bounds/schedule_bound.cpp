@@ -1,6 +1,6 @@
 #include "pathrouting/bounds/schedule_bound.hpp"
 
-#include <vector>
+#include <algorithm>
 
 #include "pathrouting/support/check.hpp"
 
@@ -8,128 +8,148 @@ namespace pathrouting::bounds {
 
 namespace {
 
-/// Next-use sentinel: no further consumption inside the prefix. As a
-/// u32 it sorts above every real step index, so the furthest-next-use
-/// comparison needs no special case.
-constexpr std::uint32_t kDead = UINT32_MAX;
+/// VertexRecord::last_access of a value the prefix has not accessed.
+constexpr std::uint32_t kNever = UINT32_MAX;
 
 }  // namespace
+
+PrefixBound::PrefixBound(const Graph& graph, std::uint64_t cache_size,
+                         const std::function<bool(VertexId)>& is_output)
+    : graph_(graph), cache_size_(cache_size) {
+  PR_REQUIRE(cache_size >= 2);
+  const VertexId n = graph.num_vertices();
+  records_.resize(n);
+  for (VertexId v = 0; v < n; ++v) {
+    // Every consumer is a non-input and, at the empty prefix,
+    // unscheduled: a value is needed iff it has an out-edge.
+    records_[v] = {graph.out_degree(v), 0, kNever};
+    if (graph.in_degree(v) > 0) {
+      if (is_output(v)) ++output_writes_;
+    } else if (graph.out_degree(v) > 0) {
+      ++untouched_inputs_;
+    }
+  }
+}
+
+void PrefixBound::count(VertexId x, bool add) {
+  const VertexRecord& r = records_[x];
+  if (r.consumers == 0) return;  // not needed by the suffix
+  std::uint64_t* term = nullptr;
+  if (r.touches > 0) {
+    term = &live_;
+  } else if (graph_.in_degree(x) == 0) {
+    term = &untouched_inputs_;
+  } else {
+    return;  // computed in the suffix: no read
+  }
+  if (add) {
+    ++*term;
+  } else {
+    --*term;
+  }
+}
+
+void PrefixBound::push(VertexId v) {
+  const auto preds = graph_.in(v);
+  PR_REQUIRE_MSG(!preds.empty(), "inputs are not scheduled");
+  PR_REQUIRE_MSG(preds.size() + 1 <= cache_size_,
+                 "cache too small for this vertex");
+  PR_REQUIRE_MSG(records_[v].last_access == kNever,
+                 "prefix is not topological");
+  const auto s = static_cast<std::uint32_t>(steps_.size());
+
+  // Suffix terms: each operand loses an unscheduled consumer and gains
+  // a touch; v is touched (its consumers are all still unscheduled).
+  for (const VertexId p : preds) {
+    PR_REQUIRE_MSG(graph_.in_degree(p) == 0 ||
+                       records_[p].last_access != kNever,
+                   "prefix is not topological");
+    count(p, false);
+    --records_[p].consumers;
+    ++records_[p].touches;
+    count(p, true);
+  }
+  count(v, false);
+  ++records_[v].touches;
+  count(v, true);
+
+  // MIN term: close each operand's reuse interval, shortest gap first.
+  // A repeated operand is staged once; its later copies are hits.
+  order_.assign(preds.begin(), preds.end());
+  std::sort(order_.begin(), order_.end(), [&](VertexId a, VertexId b) {
+    const std::uint32_t ta = records_[a].last_access;
+    const std::uint32_t tb = records_[b].last_access;
+    return ta != tb ? ta + 1 > tb + 1 : a < b;  // kNever sorts last
+  });
+  undo_begin_.push_back(static_cast<std::uint32_t>(undo_.size()));
+  std::uint32_t staged = 0;
+  for (const VertexId p : order_) {
+    const std::uint32_t t = records_[p].last_access;
+    if (t == s) continue;
+    ++staged;
+    bool kept = t != kNever;
+    for (std::uint32_t u = s; kept && u-- > t + 1;) {
+      kept = load_[u] < cache_size_;
+    }
+    if (kept) {
+      for (std::uint32_t u = t + 1; u < s; ++u) ++load_[u];
+    } else {
+      ++prefix_reads_;
+    }
+    undo_.push_back({p, t, kept});
+    records_[p].last_access = s;
+  }
+  records_[v].last_access = s;
+  load_.push_back(staged + 1);
+  steps_.push_back(v);
+}
+
+void PrefixBound::pop() {
+  PR_REQUIRE_MSG(!steps_.empty(), "pop() on an empty prefix");
+  const VertexId v = steps_.back();
+  const auto s = static_cast<std::uint32_t>(steps_.size() - 1);
+  steps_.pop_back();
+  load_.pop_back();
+  records_[v].last_access = kNever;
+  for (std::size_t i = undo_begin_.back(); i < undo_.size(); ++i) {
+    const Undo& e = undo_[i];
+    if (e.kept) {
+      for (std::uint32_t u = e.previous + 1; u < s; ++u) --load_[u];
+    } else {
+      --prefix_reads_;
+    }
+    records_[e.vertex].last_access = e.previous;
+  }
+  undo_.resize(undo_begin_.back());
+  undo_begin_.pop_back();
+
+  count(v, false);
+  --records_[v].touches;
+  count(v, true);
+  for (const VertexId p : graph_.in(v)) {
+    count(p, false);
+    ++records_[p].consumers;
+    --records_[p].touches;
+    count(p, true);
+  }
+}
+
+PartialBound PrefixBound::bound() const {
+  PartialBound bound;
+  bound.prefix_reads = prefix_reads_;
+  bound.suffix_reads =
+      untouched_inputs_ + (live_ > cache_size_ ? live_ - cache_size_ : 0);
+  bound.output_writes = output_writes_;
+  return bound;
+}
 
 PartialBound partial_schedule_lower_bound(
     const Graph& graph, std::span<const VertexId> prefix,
     std::uint64_t cache_size,
     const std::function<bool(VertexId)>& is_output) {
-  const VertexId n = graph.num_vertices();
-  const std::uint64_t m = cache_size;
-  PR_REQUIRE(m >= 2);
-
-  // Consumption steps of each vertex within the prefix, CSR layout
-  // (same construction as the simulator's use lists).
-  std::vector<std::uint32_t> off(static_cast<std::size_t>(n) + 1, 0);
-  for (const VertexId v : prefix) {
-    for (const VertexId p : graph.in(v)) ++off[p + 1];
-  }
-  for (VertexId v = 0; v < n; ++v) off[v + 1] += off[v];
-  std::vector<std::uint32_t> steps(off.back());
-  std::vector<std::uint32_t> cursor(off.begin(), off.end() - 1);
-  for (std::uint32_t s = 0; s < prefix.size(); ++s) {
-    for (const VertexId p : graph.in(prefix[s])) steps[cursor[p]++] = s;
-  }
-  cursor.assign(off.begin(), off.end() - 1);
-
-  PartialBound bound;
-
-  // ---- MIN-fetches over the prefix access string ------------------
-  // Demand fetching + furthest-next-use eviction is the offline
-  // minimum fetch count on a fixed access string; the victim scan is
-  // linear (prefixes are short) and breaks ties to the lowest id, the
-  // simulator's documented rule.
-  std::vector<std::uint8_t> in_cache(n, 0), scheduled(n, 0), touched(n, 0);
-  std::vector<std::uint32_t> next_use(n, kDead), pin(n, 0);
-  std::vector<VertexId> cached;
-
-  const auto advance_next_use = [&](VertexId v, std::uint32_t s) {
-    std::uint32_t& ptr = cursor[v];
-    while (ptr < off[v + 1] && steps[ptr] <= s) ++ptr;
-    return ptr < off[v + 1] ? steps[ptr] : kDead;
-  };
-  const auto evict_one = [&](std::uint32_t stamp) {
-    std::size_t best = cached.size();
-    for (std::size_t i = 0; i < cached.size(); ++i) {
-      const VertexId u = cached[i];
-      if (pin[u] == stamp) continue;
-      if (best == cached.size()) {
-        best = i;
-        continue;
-      }
-      const VertexId w = cached[best];
-      if (next_use[u] > next_use[w] ||
-          (next_use[u] == next_use[w] && u < w)) {
-        best = i;
-      }
-    }
-    PR_ASSERT_MSG(best < cached.size(), "no evictable entry in MIN replay");
-    in_cache[cached[best]] = 0;
-    cached[best] = cached.back();
-    cached.pop_back();
-  };
-  const auto insert = [&](VertexId v) {
-    in_cache[v] = 1;
-    cached.push_back(v);
-  };
-
-  for (std::uint32_t s = 0; s < prefix.size(); ++s) {
-    const VertexId v = prefix[s];
-    const auto preds = graph.in(v);
-    PR_REQUIRE_MSG(!preds.empty(), "inputs are not scheduled");
-    PR_REQUIRE_MSG(preds.size() + 1 <= m, "cache too small for this vertex");
-    const std::uint32_t stamp = s + 1;
-    for (const VertexId p : preds) pin[p] = stamp;
-    for (const VertexId p : preds) {
-      touched[p] = 1;
-      if (!in_cache[p]) {
-        while (cached.size() >= m) evict_one(stamp);
-        ++bound.prefix_reads;
-        insert(p);
-      }
-      next_use[p] = advance_next_use(p, s);
-    }
-    pin[v] = stamp;
-    while (cached.size() >= m) evict_one(stamp);
-    insert(v);
-    scheduled[v] = 1;
-    touched[v] = 1;
-    next_use[v] = advance_next_use(v, s);
-  }
-
-  // ---- compulsory suffix reads ------------------------------------
-  // A value is needed when an unscheduled non-input vertex consumes
-  // it. Needed values that are themselves unscheduled non-inputs are
-  // computed in the suffix (no read); needed untouched inputs cost a
-  // compulsory read; needed touched values (inputs staged during the
-  // prefix or vertices the prefix computed) can survive the boundary
-  // only in cache, which holds at most M of them.
-  std::vector<std::uint8_t> needed(n, 0);
-  for (VertexId v = 0; v < n; ++v) {
-    if (graph.in_degree(v) == 0 || scheduled[v]) continue;
-    for (const VertexId p : graph.in(v)) needed[p] = 1;
-  }
-  std::uint64_t untouched_inputs = 0, live = 0;
-  for (VertexId v = 0; v < n; ++v) {
-    if (!needed[v]) continue;
-    if (touched[v]) {
-      ++live;
-    } else if (graph.in_degree(v) == 0) {
-      ++untouched_inputs;
-    }
-  }
-  bound.suffix_reads = untouched_inputs + (live > m ? live - m : 0);
-
-  // ---- output writes ----------------------------------------------
-  for (VertexId v = 0; v < n; ++v) {
-    if (graph.in_degree(v) > 0 && is_output(v)) ++bound.output_writes;
-  }
-  return bound;
+  PrefixBound state(graph, cache_size, is_output);
+  for (const VertexId v : prefix) state.push(v);
+  return state.bound();
 }
 
 }  // namespace pathrouting::bounds

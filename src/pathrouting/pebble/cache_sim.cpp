@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <utility>
 
 #include "pathrouting/obs/obs.hpp"
 
@@ -18,31 +19,28 @@ constexpr std::uint32_t kNotCached = std::numeric_limits<std::uint32_t>::max();
 /// large graph in random order those loads are the main cost.
 constexpr std::size_t kPrefetchAhead = 32;
 
-/// Per-vertex state: where the value sits in the resident heap, and
-/// whether slow memory holds (or must hold at halt) a copy.
-struct VertexState {
-  std::uint32_t slot = kNotCached;
-  bool written = false;
-  bool output = false;
-};
-
-/// One cached value.
-struct Slot {
-  std::uint64_t key;        // eviction priority: the largest key goes first
-  VertexId vertex;
-  std::uint32_t next_use;   // step of the next read, kNeverUsed if dead
-  std::uint32_t pin;        // 1 + the last step that needs it in cache
-  std::uint32_t segment;    // segment that computed it (read while dirty)
-  bool dirty;               // computed, no slow-memory copy yet
-};
+using detail::Access;
+using detail::Slot;
+using detail::VertexState;
 
 /// Indexed binary max-heap over the cached values: the top is the
 /// largest key, ties to the lowest VertexId (the documented tie rule
 /// for both policies). Every move records the value's position in its
-/// VertexState::slot, so a cached value is re-keyed in place.
+/// VertexState::slot, so a cached value is re-keyed in place. It
+/// borrows the Simulator's buffers for one run.
 class ResidentHeap {
  public:
-  explicit ResidentHeap(std::vector<VertexState>& state) : state_(state) {}
+  ResidentHeap(std::span<VertexState> state, std::vector<Slot> slots,
+               std::vector<std::size_t> frontier)
+      : state_(state), slots_(std::move(slots)),
+        frontier_(std::move(frontier)) {}
+
+  /// Empties the heap and hands its buffers back.
+  void release(std::vector<Slot>& slots, std::vector<std::size_t>& frontier) {
+    slots_.clear();
+    slots = std::move(slots_);
+    frontier = std::move(frontier_);
+  }
 
   [[nodiscard]] std::size_t size() const { return slots_.size(); }
   [[nodiscard]] Slot& at(std::uint32_t pos) { return slots_[pos]; }
@@ -128,33 +126,41 @@ class ResidentHeap {
     place(pos, slot);
   }
 
-  std::vector<VertexState>& state_;
+  std::span<VertexState> state_;
   std::vector<Slot> slots_;
   std::vector<std::size_t> frontier_;
 };
 
-/// One value access of the schedule and the next step that reads the
-/// value after it (kNeverUsed if none).
-struct Access {
-  VertexId vertex;
-  std::uint32_t next_use;
-};
+}  // namespace
+
+Simulator::Simulator(const Graph& graph,
+                     const std::function<bool(VertexId)>& is_output)
+    : graph_(graph),
+      state_(graph.num_vertices()),
+      next_(graph.num_vertices()) {
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    // Inputs have a slow-memory copy from the start.
+    const bool input = graph.in_degree(v) == 0;
+    state_[v] = {kNotCached, input, is_output(v), input};
+  }
+}
 
 /// Every access of the schedule in order, from one backward pass: for
 /// each step, its operands (graph.in order), then the vertex it
 /// computes. A step's operand run ends at that vertex, which is never
 /// its own operand. Checks what each step needs of the cache.
-std::vector<Access> access_stream(const Graph& graph,
-                                  std::span<const VertexId> schedule,
-                                  std::uint64_t cache_size) {
+void Simulator::build_access_stream(std::span<const VertexId> schedule,
+                                    std::uint64_t cache_size) {
   std::size_t len = schedule.size();
-  for (const VertexId v : schedule) len += graph.in_degree(v);
-  std::vector<Access> stream(len);
-  std::vector<std::uint32_t> next(graph.num_vertices(), kNeverUsed);
+  for (const VertexId v : schedule) len += graph_.in_degree(v);
+  accesses_.resize(len);
+  std::fill(next_.begin(), next_.end(), kNeverUsed);
+  const std::span<Access> stream(accesses_);
+  const std::span<std::uint32_t> next(next_);
   std::size_t pos = len;
   for (auto s = static_cast<std::uint32_t>(schedule.size()); s-- > 0;) {
     const VertexId v = schedule[s];
-    const auto preds = graph.in(v);
+    const auto preds = graph_.in(v);
     PR_REQUIRE_MSG(!preds.empty(), "inputs are not scheduled");
     PR_REQUIRE_MSG(preds.size() + 1 <= cache_size,
                    "cache too small for this vertex");
@@ -166,30 +172,20 @@ std::vector<Access> access_stream(const Graph& graph,
     }
     for (const VertexId p : preds) next[p] = s;
   }
-  return stream;
 }
 
-}  // namespace
-
-PebbleResult simulate(const Graph& graph, std::span<const VertexId> schedule,
-                      const PebbleOptions& options,
-                      const std::function<bool(VertexId)>& is_output) {
+PebbleResult Simulator::run(std::span<const VertexId> schedule,
+                            const PebbleOptions& options) {
   const obs::TraceSpan span("pebble.simulate");
   static obs::Counter obs_steps("pebble.sim_steps");
   static obs::Counter obs_io("pebble.sim_io");
   PR_REQUIRE(options.cache_size >= 2);
   const std::uint64_t m = options.cache_size;
   const bool lru = options.eviction == Eviction::Lru;
-  const VertexId n = graph.num_vertices();
-
-  std::vector<VertexState> state(n);
-  for (VertexId v = 0; v < n; ++v) {
-    // Inputs have a slow-memory copy from the start.
-    state[v].written = graph.in_degree(v) == 0;
-    state[v].output = is_output(v);
-  }
-  const std::vector<Access> accesses = access_stream(graph, schedule, m);
-  ResidentHeap heap(state);
+  build_access_stream(schedule, m);
+  const std::span<VertexState> state(state_);
+  const std::span<const Access> accesses(accesses_);
+  ResidentHeap heap(state, std::move(slots_), std::move(frontier_));
   PebbleResult result;
   result.steps = schedule.size();
 
@@ -280,18 +276,35 @@ PebbleResult simulate(const Graph& graph, std::span<const VertexId> schedule,
                                                  heap.size());
   }
 
-  // Halt: flush outputs that never reached slow memory.
-  for (VertexId v = 0; v < n; ++v) {
-    VertexState& vs = state[v];
-    if (!vs.output || vs.written) continue;
-    PR_ASSERT_MSG(vs.slot != kNotCached && heap.at(vs.slot).dirty,
-                  "lost output value");
-    charge_write(heap.at(vs.slot).segment);
-    vs.written = true;
+  // Halt: flush outputs that never reached slow memory, and leave each
+  // record as the constructor made it.
+  for (VertexState& vs : state) {
+    if (vs.output && !vs.written) {
+      PR_ASSERT_MSG(vs.slot != kNotCached && heap.at(vs.slot).dirty,
+                    "lost output value");
+      charge_write(heap.at(vs.slot).segment);
+    }
+    vs.slot = kNotCached;
+    vs.written = vs.input;
   }
+  heap.release(slots_, frontier_);
   obs_steps.add(result.steps);
   obs_io.add(result.io());
   return result;
+}
+
+std::uint64_t min_cache_size(const Graph& graph) {
+  std::uint64_t floor = 2;
+  for (VertexId v = 0; v < graph.num_vertices(); ++v) {
+    floor = std::max<std::uint64_t>(floor, graph.in_degree(v) + 1);
+  }
+  return floor;
+}
+
+PebbleResult simulate(const Graph& graph, std::span<const VertexId> schedule,
+                      const PebbleOptions& options,
+                      const std::function<bool(VertexId)>& is_output) {
+  return Simulator(graph, is_output).run(schedule, options);
 }
 
 }  // namespace pathrouting::pebble

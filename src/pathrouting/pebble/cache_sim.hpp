@@ -25,6 +25,13 @@
 // therefore a pure function of (graph, schedule, M, policy) on every
 // platform — the contract the golden corpus and the schedule-search
 // certificates pin (tests/test_pebble.cpp).
+//
+// pebble::Simulator is the one engine; simulate() is a single run of a
+// fresh one. Callers that score many schedules of one graph (search
+// leaves, local-search candidates, sweep baselines) keep a Simulator,
+// whose runs reuse the per-vertex records, the access stream and the
+// heap, and leave them as the constructor made them, so a run's result
+// never depends on the runs before it.
 #pragma once
 
 #include <cstdint>
@@ -79,12 +86,80 @@ struct PebbleResult {
   std::vector<std::uint32_t> step_io;
 };
 
-/// Runs the pebble game. `schedule` is the computation order over
-/// non-input vertices (checked topological and complete by
-/// schedule::schedule_diagnostics; the simulator only checks what it
-/// needs to stay safe). `is_output(v)` marks values that must be in
-/// slow memory at halt. Aborts if M is too small to compute some vertex
-/// at all (max in-degree + 1).
+/// The records a Simulator keeps between runs. They sit outside the
+/// class so that cache_sim.cpp's resident heap, which works on them,
+/// has internal linkage: GCC then inlines its push() into the main
+/// loop (about 4% of a Strassen G_6 run).
+namespace detail {
+
+/// Per-vertex state of a Simulator: where the value sits in the
+/// resident heap, and whether slow memory holds (or must hold at halt)
+/// a copy.
+struct VertexState {
+  std::uint32_t slot;
+  bool written;
+  bool output;
+  bool input;  // written before the first step
+};
+
+/// One cached value.
+struct Slot {
+  std::uint64_t key;       // eviction priority: the largest key goes first
+  VertexId vertex;
+  std::uint32_t next_use;  // step of the next read, kNeverUsed if dead
+  std::uint32_t pin;       // 1 + the last step that needs it in cache
+  std::uint32_t segment;   // segment that computed it (read while dirty)
+  bool dirty;              // computed, no slow-memory copy yet
+};
+
+/// One value access of the schedule and the next step that reads the
+/// value after it (kNeverUsed if none).
+struct Access {
+  VertexId vertex;
+  std::uint32_t next_use;
+};
+
+}  // namespace detail
+
+/// The pebble game on one graph, run as often as a caller likes. The
+/// constructor evaluates `is_output(v)` (values that must be in slow
+/// memory at halt) once per vertex; run() reuses the per-vertex
+/// records, the access stream and the resident heap of earlier runs,
+/// so scoring many schedules of one graph (search leaves, local-search
+/// candidates) allocates nothing once the buffers have grown. A
+/// Simulator keeps a reference to `graph` and is not thread-safe: hold
+/// one per thread.
+class Simulator {
+ public:
+  Simulator(const Graph& graph,
+            const std::function<bool(VertexId)>& is_output);
+
+  /// Runs `schedule`, the computation order over non-input vertices
+  /// (checked topological and complete by
+  /// schedule::schedule_diagnostics; the simulator only checks what it
+  /// needs to stay safe). Aborts if M is too small to compute some
+  /// vertex at all (max in-degree + 1). Leaves the Simulator as the
+  /// constructor made it.
+  PebbleResult run(std::span<const VertexId> schedule,
+                   const PebbleOptions& options);
+
+ private:
+  void build_access_stream(std::span<const VertexId> schedule,
+                           std::uint64_t cache_size);
+
+  const Graph& graph_;
+  std::vector<detail::VertexState> state_;
+  std::vector<detail::Access> accesses_;
+  std::vector<std::uint32_t> next_;  // backward-pass scratch
+  std::vector<detail::Slot> slots_;  // the resident heap
+  std::vector<std::size_t> frontier_;
+};
+
+/// The pebble game's floor on M for `graph`: max(2, max in-degree + 1),
+/// the smallest cache in which every vertex can be computed.
+std::uint64_t min_cache_size(const Graph& graph);
+
+/// One run of a fresh Simulator: Simulator(graph, is_output).run(...).
 PebbleResult simulate(const Graph& graph,
                       std::span<const VertexId> schedule,
                       const PebbleOptions& options,

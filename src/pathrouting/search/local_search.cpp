@@ -78,15 +78,12 @@ LocalSearchResult improve_schedule(
   static obs::Counter moves_counter("search.moves_evaluated");
   PR_REQUIRE_MSG(!initial.empty(), "local search needs a non-empty schedule");
 
-  const auto score = [&](std::span<const VertexId> order) {
-    return pebble::simulate(graph, order, {.cache_size = options.cache_size},
-                            is_output)
-        .io();
-  };
+  const pebble::PebbleOptions pebble_options{.cache_size = options.cache_size};
 
   LocalSearchResult result;
   result.schedule.assign(initial.begin(), initial.end());
-  result.initial_io = score(result.schedule);
+  result.initial_io =
+      pebble::Simulator(graph, is_output).run(initial, pebble_options).io();
   result.io = result.initial_io;
 
   support::Xoshiro256 rng(options.seed);
@@ -116,9 +113,12 @@ LocalSearchResult improve_schedule(
     const Best best = support::parallel::parallel_reduce<Best>(
         0, candidates.size(), grain, kNoBest,
         [&](std::uint64_t lo, std::uint64_t hi) {
+          pebble::Simulator simulator(graph, is_output);
           Best local = kNoBest;
           for (std::uint64_t c = lo; c < hi; ++c) {
-            local = std::min(local, Best{score(candidates[c]), c});
+            const std::uint64_t io =
+                simulator.run(candidates[c], pebble_options).io();
+            local = std::min(local, Best{io, c});
           }
           return local;
         },

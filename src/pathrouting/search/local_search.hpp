@@ -9,10 +9,11 @@
 //    another position, kept only if every dependence still points
 //    forward.
 // Each round generates a seeded batch of candidates, scores them all
-// with Belady through pebble::simulate, and accepts the best strictly
-// improving one; the search stops at the first round with no
-// improvement (or after max_rounds). Accepted moves therefore never
-// increase the Belady cost — the invariant tests/test_search.cpp pins.
+// with Belady on a pebble::Simulator (one per parallel chunk), and
+// accepts the best strictly improving one; the search stops at the
+// first round with no improvement (or after max_rounds). Accepted
+// moves therefore never increase the Belady cost — the invariant
+// tests/test_search.cpp pins.
 //
 // Determinism: candidates are generated serially from the seed
 // (support::Xoshiro256) and scored on the deterministic parallel

@@ -16,14 +16,17 @@ constexpr std::uint64_t kInfinity = std::numeric_limits<std::uint64_t>::max();
 
 /// The serial DFS walk over partial topological orders. Ready vertices
 /// expand in ascending id, so the walk — and with it every counter and
-/// the witness — is deterministic.
+/// the witness — is deterministic. The prefix lives in `bound`, which
+/// keeps the pruning bound up to date as vertices are pushed and
+/// popped; leaves are scored on one reused simulator.
 struct TreeWalk {
   const Graph& graph;
   const SearchOptions& options;
-  const std::function<bool(VertexId)>& is_output;
   std::uint64_t num_to_schedule = 0;
 
-  std::vector<VertexId> prefix;
+  bounds::PrefixBound bound;
+  pebble::Simulator simulator;
+  const pebble::PebbleOptions leaf_options;
   std::vector<std::uint32_t> missing_preds;  // unscheduled non-input preds
   std::vector<std::uint8_t> ready;
 
@@ -31,8 +34,12 @@ struct TreeWalk {
   bool stop = false;  // optimum proven or budget exhausted
 
   TreeWalk(const Graph& g, const SearchOptions& opt,
-           const std::function<bool(VertexId)>& out)
-      : graph(g), options(opt), is_output(out) {
+           const std::function<bool(VertexId)>& is_output)
+      : graph(g),
+        options(opt),
+        bound(g, opt.cache_size, is_output),
+        simulator(g, is_output),
+        leaf_options{.cache_size = opt.cache_size} {
     const VertexId n = graph.num_vertices();
     missing_preds.assign(n, 0);
     ready.assign(n, 0);
@@ -44,24 +51,22 @@ struct TreeWalk {
       }
       ready[v] = missing_preds[v] == 0;
     }
-    prefix.reserve(num_to_schedule);
   }
 
-  void score_leaf() {
+  void score_leaf(std::span<const VertexId> schedule) {
     static obs::Counter leaves("search.leaves_scored");
     leaves.add();
     ++result.leaves_scored;
-    const pebble::PebbleResult sim = pebble::simulate(
-        graph, prefix, {.cache_size = options.cache_size}, is_output);
-    if (sim.io() < result.best_io) {
-      result.best_io = sim.io();
-      result.best_schedule = prefix;
+    const std::uint64_t io = simulator.run(schedule, leaf_options).io();
+    if (io < result.best_io) {
+      result.best_io = io;
+      result.best_schedule.assign(schedule.begin(), schedule.end());
       if (result.best_io == result.lower_bound) stop = true;
     }
   }
 
   void push(VertexId v) {
-    prefix.push_back(v);
+    bound.push(v);
     ready[v] = 0;
     for (const VertexId c : graph.out(v)) {
       if (--missing_preds[c] == 0) ready[c] = 1;
@@ -69,7 +74,7 @@ struct TreeWalk {
   }
 
   void pop(VertexId v) {
-    prefix.pop_back();
+    bound.pop();
     for (const VertexId c : graph.out(v)) {
       if (missing_preds[c]++ == 0) ready[c] = 0;
     }
@@ -78,19 +83,17 @@ struct TreeWalk {
 
   void expand() {
     if (stop) return;
-    if (prefix.size() == num_to_schedule) {
-      score_leaf();
+    if (bound.prefix().size() == num_to_schedule) {
+      score_leaf(bound.prefix());
       return;
     }
     static obs::Counter pruned("search.nodes_pruned");
     static obs::Counter expanded("search.nodes_expanded");
     if (result.best_io != kInfinity) {
-      const bounds::PartialBound pb = bounds::partial_schedule_lower_bound(
-          graph, prefix, options.cache_size, is_output);
-      const std::uint64_t bound =
-          std::max(pb.total(), options.extra_lower_bound) +
+      const std::uint64_t lower =
+          std::max(bound.bound().total(), options.extra_lower_bound) +
           options.debug_bound_inflation;
-      if (bound >= result.best_io) {
+      if (lower >= result.best_io) {
         pruned.add();
         ++result.nodes_pruned;
         return;
@@ -135,16 +138,12 @@ SearchResult branch_and_bound(const Graph& graph,
   TreeWalk walk(graph, options, is_output);
   PR_REQUIRE_MSG(walk.num_to_schedule > 0, "graph has no non-input vertices");
 
-  const bounds::PartialBound root = bounds::partial_schedule_lower_bound(
-      graph, {}, options.cache_size, is_output);
   walk.result.lower_bound =
-      std::max(root.total(), options.extra_lower_bound);
+      std::max(walk.bound.bound().total(), options.extra_lower_bound);
   walk.result.best_io = kInfinity;
 
   if (!options.initial_incumbent.empty()) {
-    walk.prefix = options.initial_incumbent;
-    walk.score_leaf();
-    walk.prefix.clear();
+    walk.score_leaf(options.initial_incumbent);
   }
   walk.expand();
 

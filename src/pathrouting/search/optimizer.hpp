@@ -6,7 +6,10 @@
 // orders, pruning with the admissible partial-state bound of
 // bounds/schedule_bound.hpp (never an overestimate of the best
 // completion, so no optimum is ever cut) and scoring every leaf
-// exactly through pebble::simulate with Belady eviction.
+// exactly on one reused pebble::Simulator with Belady eviction. The
+// walk keeps the bound in a bounds::PrefixBound that it pushes and
+// pops with the prefix, so a pruning test is O(1) and a tree edge
+// costs O(in-degree) plus the reuse gaps the MIN term scans.
 //
 // Certification: a result is *certified optimal* when either
 //  * the incumbent's cost equals the root lower bound (kBoundMet) —
@@ -20,8 +23,12 @@
 // Determinism: the tree walk is serial and children expand in
 // ascending vertex id, so nodes_expanded / nodes_pruned / the witness
 // are pure functions of (graph, M, options) at any PR_THREADS. The
-// parallel substrate is used by the local-search mode
-// (search/local_search.hpp), not the tree walk.
+// incremental bound is too: PrefixBound::bound() equals the
+// from-scratch bound of the current prefix (tests/
+// test_schedule_bound_oracle.cpp), so which nodes are pruned does not
+// depend on the path that reached them. The parallel substrate is used
+// by the local-search mode (search/local_search.hpp), not the tree
+// walk.
 #pragma once
 
 #include <cstdint>

@@ -42,8 +42,9 @@ SweepPoint run_search_point(const SweepSpec& spec) {
   const std::vector<VertexId> bfs = schedule::bfs_schedule(cdag);
   point.scheduled_vertices = dfs.size();
   const pebble::PebbleOptions pebble_opts{.cache_size = spec.m};
-  point.dfs_io = pebble::simulate(graph, dfs, pebble_opts, is_output).io();
-  point.bfs_io = pebble::simulate(graph, bfs, pebble_opts, is_output).io();
+  pebble::Simulator simulator(graph, is_output);
+  point.dfs_io = simulator.run(dfs, pebble_opts).io();
+  point.bfs_io = simulator.run(bfs, pebble_opts).io();
 
   const LocalSearchResult local = improve_schedule(
       graph, dfs,
@@ -76,7 +77,7 @@ SweepPoint run_search_point(const SweepSpec& spec) {
   point.witness = searched.best_schedule;
 
   const pebble::PebbleResult best_sim =
-      pebble::simulate(graph, point.witness, pebble_opts, is_output);
+      simulator.run(point.witness, pebble_opts);
   point.searched_reads = best_sim.reads;
   point.searched_writes = best_sim.writes;
 

@@ -3,8 +3,10 @@
 // list, finds the victim by a linear scan and each next use by scanning
 // the schedule forward; it shares only the rules and the documented
 // tie rule (larger eviction key first, then the lowest VertexId) with
-// the production heap. Seeded and replayable: PR_PROPERTY_SEED /
-// PR_PROPERTY_ITERS, part of the nightly property job.
+// the production heap. Each graph's runs share one pebble::Simulator,
+// so reuse of its buffers is checked too. Seeded and replayable:
+// PR_PROPERTY_SEED / PR_PROPERTY_ITERS, part of the nightly property
+// job.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -198,6 +200,9 @@ TEST(PebbleOracle, SimulatorMatchesReferenceOnRandomDags) {
                  (graph.out(v).empty() || rng.below(4) == 0);
       }
       const auto is_output = [&](VertexId v) { return out[v] != 0; };
+      // One Simulator per graph, reused across orders, M and policies:
+      // a run must not depend on the runs before it.
+      Simulator simulator(graph, is_output);
       for (int o = 0; o < 3; ++o) {
         const std::vector<VertexId> order =
             schedule::random_topological_schedule(graph, rng());
@@ -210,8 +215,7 @@ TEST(PebbleOracle, SimulatorMatchesReferenceOnRandomDags) {
             SCOPED_TRACE("graph " + std::to_string(g) + ", order " +
                          std::to_string(o) + ", M=" + std::to_string(m) +
                          (policy == Eviction::Lru ? ", LRU" : ", Belady"));
-            const PebbleResult got =
-                simulate(graph, order, options, is_output);
+            const PebbleResult got = simulator.run(order, options);
             const PebbleResult want =
                 reference_simulate(graph, order, options, is_output);
             EXPECT_EQ(got.reads, want.reads);

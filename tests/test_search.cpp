@@ -466,6 +466,39 @@ TEST(ScheduleSearchAudit, CorruptedClaimsAreRejected) {
   EXPECT_FALSE(audit::audit_search_certificate(overclaim).ok());
 }
 
+// A cache below the pebble game's floor (max in-degree + 1) is a
+// finding of the rule, not an abort: the witness is not re-simulated
+// and, below M = 2, the root bound is not re-derived.
+TEST(ScheduleSearchAudit, CacheBelowFloorIsReportedNotFatal) {
+  const cdag::Cdag cdag(bilinear::by_name("strassen"), 1,
+                        {.with_coefficients = false});
+  const std::vector<VertexId> dfs = schedule::dfs_schedule(cdag);
+  std::vector<std::uint8_t> mask(cdag.graph().num_vertices(), 0);
+  std::uint64_t floor = 2;
+  for (VertexId v = 0; v < cdag.graph().num_vertices(); ++v) {
+    mask[v] = cdag.layout().is_output(v) ? 1 : 0;
+    floor = std::max<std::uint64_t>(floor, cdag.graph().in_degree(v) + 1);
+  }
+  ASSERT_GT(floor, 3u);
+  for (const std::uint64_t m : {std::uint64_t{1}, std::uint64_t{2}, floor - 1}) {
+    SCOPED_TRACE("M=" + std::to_string(m));
+    audit::SearchCertificateView cert;
+    cert.graph = &cdag.graph();
+    cert.schedule = dfs;
+    cert.output_mask = mask;
+    cert.cache_size = m;
+    cert.claimed_io = 100;
+    cert.claimed_lower_bound = 12;
+    const audit::AuditReport report = audit::audit_search_certificate(cert);
+    EXPECT_FALSE(report.ok());
+    EXPECT_NE(report.to_text().find(
+                  "below the pebble game's floor max in-degree + 1 = " +
+                  std::to_string(floor)),
+              std::string::npos)
+        << report.to_text();
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Witness digests are schedule-identity
 

@@ -14,6 +14,7 @@
 #include "pathrouting/audit/audit.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/cdag.hpp"
+#include "pathrouting/pebble/cache_sim.hpp"
 #include "pathrouting/search/sweep.hpp"
 #include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
@@ -53,11 +54,7 @@ int main(int argc, char** argv) {
   }
   const bilinear::BilinearAlgorithm alg = bilinear::by_name(spec.algorithm);
   const cdag::Cdag cdag(alg, spec.r, {.with_coefficients = false});
-  std::uint64_t min_m = 2;
-  for (cdag::VertexId v = 0; v < cdag.graph().num_vertices(); ++v) {
-    min_m = std::max(
-        min_m, static_cast<std::uint64_t>(cdag.graph().in_degree(v)) + 1);
-  }
+  const std::uint64_t min_m = pebble::min_cache_size(cdag.graph());
   if (spec.m < min_m) {
     std::fprintf(stderr,
                  "pr_search: --m %llu too small for %s r=%d — the pebble "
