@@ -14,12 +14,15 @@
 // implementation; tests/test_memo_routing checks them against the
 // brute-force oracle.
 //
-// Exits nonzero on any bound violation or RSS breach, so the
-// implicit-perfsmoke ctest entry is a hard gate. With PR_OBS=1,
-// PR_TRACE_OUT / PR_METRICS_OUT capture the memo.implicit_* spans.
+// Every point runs through routing::run_routing_point and is written
+// by routing::fill_routing_record, the pair pr_bench_gate re-derives
+// BENCH_implicit_cdag.json with. Exits nonzero on any bound violation
+// or RSS breach, so the implicit-perfsmoke ctest entry is a hard gate.
+// With PR_OBS=1, PR_TRACE_OUT / PR_METRICS_OUT capture the
+// memo.implicit_* spans.
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -28,10 +31,11 @@
 #include "bench_common.hpp"
 #include "pathrouting/bilinear/analysis.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
-#include "pathrouting/cdag/implicit.hpp"
+#include "pathrouting/cdag/layout.hpp"
 #include "pathrouting/obs/export.hpp"
 #include "pathrouting/obs/obs.hpp"
-#include "pathrouting/routing/memo_routing.hpp"
+#include "pathrouting/routing/workload.hpp"
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
 
 namespace {
@@ -42,86 +46,23 @@ using support::fmt_fixed;
 
 constexpr std::uint64_t kRssLimitBytes = 2ull << 30;  // 2 GiB
 
-struct Options {
-  int kmax = 10;  // Strassen ranks; the hybrid runs kmax/2
-};
-
-struct ImplicitRun {
-  routing::HitStats l3;
-  bool l4 = false;
-  routing::FullRoutingStats t2;
-  std::optional<routing::HitStats> decode;
-  // The chain phase (L3/L4/T2) and the Claim-1 decode phase are
-  // separate records in the JSON, so they are timed separately.
-  double chain_secs = 0;
-  double decode_secs = 0;
-  [[nodiscard]] bool ok() const {
-    return l3.ok() && l4 && t2.ok() && (!decode || decode->ok());
-  }
-};
-
-ImplicitRun run_implicit(const routing::MemoRoutingEngine& engine,
-                         const cdag::CdagView& view, int k) {
-  ImplicitRun run;
-  bench::Stopwatch chain_timer;
-  run.l3 = engine.verify_chain_routing(view, k, 0);
-  run.l4 = engine.verify_chain_multiplicities(view, k, 0);
-  run.t2 = engine.verify_full_routing(view, k, 0);
-  run.chain_secs = chain_timer.seconds();
-  if (engine.has_decoder()) {
-    bench::Stopwatch decode_timer;
-    run.decode = engine.verify_decode_routing(view, k, 0);
-    run.decode_secs = decode_timer.seconds();
-  }
-  return run;
-}
-
-void add_records(bench::BenchJson& json, const std::string& name, int k,
-                 const ImplicitRun& run) {
-  json.add_record()
-      .set("experiment", "chain_routing")
-      .set("algorithm", name)
-      .set("k", k)
-      .set("engine", routing::engine_name(routing::EngineKind::kImplicit))
-      .set("chains", run.l3.num_paths)
-      .set("l3_max_hits", run.l3.max_hits)
-      .set("l3_bound", run.l3.bound)
-      .set("l4_exact", run.l4)
-      .set("t2_max_vertex_hits", run.t2.max_vertex_hits)
-      .set("t2_max_meta_hits", run.t2.max_meta_hits)
-      .set("t2_bound", run.t2.bound)
-      .set("ok", run.l3.ok() && run.l4 && run.t2.ok())
-      .set("seconds", run.chain_secs)
+void add_record(bench::BenchJson& json, const routing::RoutingPoint& point) {
+  obs::BenchRecord& rec = json.add_record();
+  routing::fill_routing_record(point, rec);
+  rec.set("seconds", point.seconds)
       .set("max_rss_bytes", obs::max_rss_bytes());
-  if (run.decode) {
-    json.add_record()
-        .set("experiment", "decode_routing")
-        .set("algorithm", name)
-        .set("k", k)
-        .set("engine", routing::engine_name(routing::EngineKind::kImplicit))
-        .set("paths", run.decode->num_paths)
-        .set("max_hits", run.decode->max_hits)
-        .set("bound", run.decode->bound)
-        .set("ok", run.decode->ok())
-        .set("seconds", run.decode_secs)
-        .set("max_rss_bytes", obs::max_rss_bytes());
-  }
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--kmax=", 0) == 0) {
-      opt.kmax = std::atoi(arg.c_str() + 7);
-    } else {
-      std::fprintf(stderr, "usage: bench_implicit [--kmax=N]\n");
-      return 2;
-    }
-  }
-  if (opt.kmax < 1) opt.kmax = 1;
+  support::Cli cli(argc, argv);
+  const int kmax = std::max<int>(
+      1, static_cast<int>(cli.flag_int(
+             "kmax", 10, "Strassen ranks; the hybrid runs kmax/2")));
+  cli.finish(
+      "E17: implicit CDAG — Lemma 3/4, Theorem 2 and Claim 1 certified on "
+      "the Fact-1 virtual view, with peak RSS under 2 GiB.");
 
   bench::print_banner(
       "E17: implicit CDAG — constant-memory certificates at k = 10",
@@ -141,40 +82,39 @@ int main(int argc, char** argv) {
     int kmax;
   };
   const std::vector<Workload> workloads = {
-      {"strassen", opt.kmax},
-      {"classical2_x_strassen", std::max(1, opt.kmax / 2)},
+      {"strassen", kmax},
+      {"classical2_x_strassen", std::max(1, kmax / 2)},
   };
 
   support::Table table({"algorithm", "k", "n", "|V| (virtual)", "chains",
                         "l3", "l4", "t2", "claim1", "sec", "rss-MiB"});
   for (const Workload& w : workloads) {
-    const auto alg = bilinear::by_name(w.name);
-    const routing::ChainRouter router(alg);
-    std::optional<routing::DecodeRouter> decoder;
-    std::optional<routing::MemoRoutingEngine> engine;
-    if (bilinear::decoding_components(alg) == 1) {
-      decoder.emplace(alg);
-      engine.emplace(router, *decoder);
-    } else {
-      engine.emplace(router);
-    }
+    const bilinear::BilinearAlgorithm alg = bilinear::by_name(w.name);
+    const bool has_decode = bilinear::decoding_components(alg) == 1;
     for (int k = 1; k <= w.kmax; ++k) {
-      const cdag::ImplicitCdag view(alg, k);
-      const ImplicitRun run = run_implicit(*engine, view, k);
-      const double secs = run.chain_secs + run.decode_secs;
-      if (!run.ok()) {
+      const routing::RoutingPoint chain = routing::run_routing_point(
+          {false, w.name, k, routing::EngineKind::kImplicit});
+      add_record(json, chain);
+      std::optional<routing::RoutingPoint> decode;
+      if (has_decode) {
+        decode = routing::run_routing_point(
+            {true, w.name, k, routing::EngineKind::kImplicit});
+        add_record(json, *decode);
+      }
+      if (!chain.ok() || (decode && !decode->ok())) {
         std::fprintf(stderr, "BOUND VIOLATION: %s k=%d (implicit)\n", w.name,
                      k);
         failed = true;
       }
-      add_records(json, w.name, k, run);
+      const routing::ChainVerdicts& v = chain.chain;
+      const cdag::Layout layout(alg.n0(), alg.b(), k);
       table.add_row(
-          {w.name, std::to_string(k), std::to_string(view.layout().n()),
-           fmt_count(view.num_vertices()), fmt_count(run.l3.num_paths),
-           run.l3.ok() ? "OK" : "FAIL", run.l4 ? "OK" : "FAIL",
-           run.t2.ok() ? "OK" : "FAIL",
-           run.decode ? (run.decode->ok() ? "OK" : "FAIL") : "-",
-           fmt_fixed(secs, 3),
+          {w.name, std::to_string(k), std::to_string(layout.n()),
+           fmt_count(layout.num_vertices()), fmt_count(v.l3.num_paths),
+           v.l3.ok() ? "OK" : "FAIL", v.l4 ? "OK" : "FAIL",
+           v.t2.ok() ? "OK" : "FAIL",
+           decode ? (decode->ok() ? "OK" : "FAIL") : "-",
+           fmt_fixed(chain.seconds + (decode ? decode->seconds : 0.0), 3),
            std::to_string(obs::max_rss_bytes() >> 20)});
     }
   }
@@ -190,7 +130,7 @@ int main(int argc, char** argv) {
   json.add_record()
       .set("experiment", "implicit_phase")
       .set("engine", routing::engine_name(routing::EngineKind::kImplicit))
-      .set("kmax", opt.kmax)
+      .set("kmax", kmax)
       .set("rss_limit_bytes", kRssLimitBytes)
       .set("ok", peak_rss < kRssLimitBytes)
       .set("max_rss_bytes", peak_rss);

@@ -9,24 +9,23 @@
 // engine (routing/memo_routing.hpp) fills the same hit arrays from the
 // closed forms on a canonical G_k copy. Where both engines run, the
 // full per-vertex arrays are compared bit for bit and the memo record
-// carries counts_bit_identical plus the measured speedup. Any
-// divergence or bound violation makes the bench exit nonzero, so CI
-// can run it as a perf smoke test (--engine=memo --kmax=N under
-// timeout).
-//
-// The implicit engine is the third column: the same closed forms
-// evaluated through cdag::ImplicitCdag (no CSR arrays, no per-vertex
-// hit arrays — digit-state DP only), so its records measure the
-// constant-memory verification path and carry max_rss_bytes. Its
-// stats must match the memoized engine's bit for bit.
+// carries counts_bit_identical plus the measured speedup. Every memo
+// chain row also sets Theorem 2's array aggregation
+// (full_routing_from_chain_counts) against the digit-state DP
+// (verify_full_routing on cdag::ExplicitView). Any divergence or bound
+// violation makes the bench exit nonzero, so CI can run it as a perf
+// smoke test (--engine=memo --kmax=N under timeout). The records go
+// through routing::fill_routing_record, the writer pr_bench_gate
+// re-derives them with; the implicit engine's records are
+// bench_implicit's.
 //
 // Flags:
-//   --engine=both|memo|brute|implicit  which engines (default both=all)
+//   --engine=both|memo|brute   which engines (default both)
 //   --kmax=N                   cap every case's k (0 = per-case table)
 //   --kmax-brute=N             cap only the brute engine's k
 //   --full-catalog             add every catalog algorithm at k <= 3
 #include <algorithm>
-#include <cstring>
+#include <cstdio>
 #include <iostream>
 #include <optional>
 #include <string>
@@ -34,13 +33,12 @@
 
 #include "bench_common.hpp"
 #include "pathrouting/bilinear/analysis.hpp"
-#include "pathrouting/cdag/implicit.hpp"
+#include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/obs/export.hpp"
 #include "pathrouting/obs/obs.hpp"
-#include "pathrouting/bilinear/catalog.hpp"
-#include "pathrouting/routing/concat_routing.hpp"
 #include "pathrouting/routing/decode_routing.hpp"
-#include "pathrouting/routing/memo_routing.hpp"
+#include "pathrouting/routing/workload.hpp"
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
 
 namespace {
@@ -49,81 +47,11 @@ using namespace pathrouting;  // NOLINT
 using support::fmt_count;
 using support::fmt_fixed;
 
-struct Options {
-  bool run_brute = true;
-  bool run_memo = true;
-  bool run_implicit = true;
-  int kmax = 0;        // 0 = per-case table
-  int kmax_brute = 0;  // 0 = per-case table
-  bool full_catalog = false;
-};
-
-Options parse_options(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.starts_with("--engine=")) {
-      const std::string engine = arg.substr(std::strlen("--engine="));
-      opt.run_brute = engine == "both" || engine == "brute";
-      opt.run_memo = engine == "both" || engine == "memo";
-      opt.run_implicit = engine == "both" || engine == "implicit";
-      if (!opt.run_brute && !opt.run_memo && !opt.run_implicit) {
-        std::fprintf(stderr,
-                     "unknown engine \"%s\" (valid engines: both, memo, "
-                     "brute, implicit)\n",
-                     engine.c_str());
-        std::exit(2);
-      }
-    } else if (arg.starts_with("--kmax=")) {
-      opt.kmax = std::atoi(arg.c_str() + std::strlen("--kmax="));
-    } else if (arg.starts_with("--kmax-brute=")) {
-      opt.kmax_brute = std::atoi(arg.c_str() + std::strlen("--kmax-brute="));
-    } else if (arg == "--full-catalog") {
-      opt.full_catalog = true;
-    } else {
-      std::fprintf(stderr,
-                   "unknown flag %s\nusage: bench_routing "
-                   "[--engine=both|memo|brute|implicit] [--kmax=N] "
-                   "[--kmax-brute=N] [--full-catalog]\n",
-                   arg.c_str());
-      std::exit(2);
-    }
-  }
-  return opt;
-}
-
 struct Case {
   std::string name;
   int kmax_brute;
   int kmax_memo;
 };
-
-/// A case with the CLI caps applied per engine. The implicit engine
-/// shares the memoized k table (both evaluate closed forms; the
-/// implicit engine's far larger feasible k lives in bench_implicit).
-struct ActiveCase {
-  std::string name;
-  int kmax_brute = 0;
-  int kmax_memo = 0;
-  int kmax_implicit = 0;
-  [[nodiscard]] int kmax() const {
-    return std::max({kmax_brute, kmax_memo, kmax_implicit});
-  }
-};
-
-ActiveCase capped(const Options& opt, const Case& raw) {
-  ActiveCase c{raw.name, raw.kmax_brute, raw.kmax_memo, raw.kmax_memo};
-  if (opt.kmax > 0) {
-    c.kmax_brute = std::min(c.kmax_brute, opt.kmax);
-    c.kmax_memo = std::min(c.kmax_memo, opt.kmax);
-    c.kmax_implicit = std::min(c.kmax_implicit, opt.kmax);
-  }
-  if (opt.kmax_brute > 0) c.kmax_brute = std::min(c.kmax_brute, opt.kmax_brute);
-  if (!opt.run_brute) c.kmax_brute = 0;
-  if (!opt.run_memo) c.kmax_memo = 0;
-  if (!opt.run_implicit) c.kmax_implicit = 0;
-  return c;
-}
 
 /// --full-catalog: every catalog algorithm at k <= 3 (capped so the
 /// CDAG stays under ~4M vertices), appended after the headline cases.
@@ -145,351 +73,187 @@ void add_catalog_cases(std::vector<Case>& cases, int kmax,
   }
 }
 
-bool hits_equal(const std::vector<std::uint64_t>& a,
-                const std::vector<std::uint64_t>& b) {
-  return a == b;
+/// The brute-force oracle's row: every chain (or zig-zag) enumerated.
+routing::RoutingPoint run_brute_point(routing::RoutingSpec spec,
+                                      const routing::ChainRouter& router,
+                                      const routing::DecodeRouter* decoder,
+                                      const cdag::SubComputation& sub) {
+  routing::RoutingPoint run;
+  spec.engine = routing::EngineKind::kBrute;
+  run.spec = spec;
+  const bench::Stopwatch timer;
+  if (spec.decode) {
+    run.hits = routing::count_decode_hits(*decoder, sub);
+    run.decode = routing::decode_stats_from_hits(*decoder, sub, run.hits);
+  } else {
+    routing::ChainHitCounts counts = routing::count_chain_hits(router, sub);
+    run.chain.l3 = routing::chain_stats_from_counts(counts, sub);
+    run.chain.l4 = routing::verify_chain_multiplicities(router, sub);
+    run.chain.t2 = routing::full_routing_from_chain_counts(sub, counts);
+    run.hits = std::move(counts.hits);
+  }
+  run.seconds = timer.seconds();
+  return run;
+}
+
+/// The headline verdict of a row: Lemma 3 for chains, Claim 1 for
+/// decode.
+const routing::HitStats& headline(const routing::RoutingPoint& run) {
+  return run.spec.decode ? run.decode : run.chain.l3;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
+  support::Cli cli(argc, argv);
+  const std::string engine =
+      cli.flag_str("engine", "both", "both|memo|brute: which engines run");
+  const auto kmax = static_cast<int>(
+      cli.flag_int("kmax", 0, "cap every case's k (0 = per-case table)"));
+  const auto kmax_brute = static_cast<int>(
+      cli.flag_int("kmax-brute", 0, "cap only the brute engine's k"));
+  const bool full_catalog = cli.flag_bool(
+      "full-catalog", false, "add every catalog algorithm at k <= 3");
+  cli.finish(
+      "E2-E5: Lemma 3, Lemma 4, Theorem 2 and Claim 1, verified by the "
+      "brute-force oracle and the memoized engine.");
+  if (engine != "both" && engine != "memo" && engine != "brute") {
+    std::fprintf(stderr,
+                 "bench_routing: unknown engine \"%s\" (valid engines: "
+                 "both, memo, brute)\n",
+                 engine.c_str());
+    return 2;
+  }
+  // A case with the CLI caps applied per engine.
+  const auto capped = [&](Case c) {
+    if (kmax > 0) {
+      c.kmax_brute = std::min(c.kmax_brute, kmax);
+      c.kmax_memo = std::min(c.kmax_memo, kmax);
+    }
+    if (kmax_brute > 0) c.kmax_brute = std::min(c.kmax_brute, kmax_brute);
+    if (engine == "memo") c.kmax_brute = 0;
+    if (engine == "brute") c.kmax_memo = 0;
+    return c;
+  };
   bool failed = false;
-
-  bench::print_banner(
-      "E2/E3/E4: Lemma 3, Lemma 4 and the Routing Theorem (Theorem 2)",
-      "Claim: chains for all guaranteed dependencies hit every vertex at\n"
-      "most 2 n0^k times; the Lemma-4 concatenation uses every chain\n"
-      "exactly 3 n0^k times; the composed routing hits every vertex and\n"
-      "every meta-vertex at most 6 a^k times. The memoized engine must\n"
-      "reproduce the brute-force hit arrays bit for bit.");
-
-  support::Table table({"algorithm", "k", "engine", "chains", "L3 max",
-                        "L3 bound", "L4 exact", "T2 max", "T2 meta",
-                        "T2 bound", "ok", "sec", "speedup"});
   bench::BenchJson json("routing_memo");
 
-  std::vector<Case> chain_cases = {{"strassen", 6, 7},
-                                   {"winograd", 6, 7},
-                                   {"laderman", 3, 4},
-                                   {"strassen_squared", 3, 3},
-                                   {"strassen_x_classical2", 3, 3}};
-  if (opt.full_catalog) add_catalog_cases(chain_cases, 3, false);
+  for (const bool decode : {false, true}) {
+    std::vector<Case> cases;
+    if (decode) {
+      bench::print_banner(
+          "E5: Claim 1 — the decoding-graph routing of Section 5",
+          "Claim: for bases with a connected decoding graph there is an\n"
+          "(|D_1| * max(a,b)^k)-routing between the inputs and outputs of "
+          "D_k\n(11 * 7^k for Strassen). The brute engine enumerates every\n"
+          "zig-zag; the memoized engine fills the array from the D_1 visit\n"
+          "tables.");
+      cases = {{"strassen", 5, 6}, {"winograd", 5, 6}, {"laderman", 3, 4}};
+    } else {
+      bench::print_banner(
+          "E2/E3/E4: Lemma 3, Lemma 4 and the Routing Theorem (Theorem 2)",
+          "Claim: chains for all guaranteed dependencies hit every vertex "
+          "at\nmost 2 n0^k times; the Lemma-4 concatenation uses every "
+          "chain\nexactly 3 n0^k times; the composed routing hits every "
+          "vertex and\nevery meta-vertex at most 6 a^k times. The memoized "
+          "engine must\nreproduce the brute-force hit arrays bit for bit.");
+      cases = {{"strassen", 6, 7},
+               {"winograd", 6, 7},
+               {"laderman", 3, 4},
+               {"strassen_squared", 3, 3},
+               {"strassen_x_classical2", 3, 3}};
+    }
+    if (full_catalog) add_catalog_cases(cases, 3, decode);
+    support::Table table(
+        decode ? std::vector<std::string>{"algorithm", "k", "engine", "paths",
+                                          "max hits", "bound", "slack", "ok",
+                                          "sec", "speedup"}
+               : std::vector<std::string>{"algorithm", "k", "engine",
+                                          "chains", "L3 max", "L3 bound",
+                                          "L4 exact", "T2 max", "T2 meta",
+                                          "T2 bound", "ok", "sec", "speedup"});
 
-  for (const Case& raw : chain_cases) {
-    const ActiveCase c = capped(opt, raw);
-    const auto alg = bilinear::by_name(c.name);
-    const routing::ChainRouter router(alg);
-    const routing::MemoRoutingEngine memo(router);
-    for (int k = 1; k <= c.kmax(); ++k) {
-      // The implicit engine needs no materialized graph; only the
-      // array-backed engines do.
-      std::optional<cdag::Cdag> graph;
-      std::optional<cdag::SubComputation> sub;
-      if (k <= c.kmax_brute || k <= c.kmax_memo) {
-        graph.emplace(alg, k, cdag::CdagOptions{.with_coefficients = false});
-        sub.emplace(*graph, k, 0);
-      }
-
-      struct ChainRun {
-        routing::ChainHitCounts counts;
-        routing::HitStats l3;
-        bool l4 = false;
-        routing::FullRoutingStats t2;
-        double secs = 0;
-        [[nodiscard]] bool ok() const { return l3.ok() && l4 && t2.ok(); }
-      };
-      std::optional<ChainRun> brute, memo_run;
-
-      if (k <= c.kmax_brute) {
-        bench::Stopwatch timer;
-        ChainRun run;
-        run.counts = routing::count_chain_hits(router, *sub);
-        run.l3 = routing::chain_stats_from_counts(run.counts, *sub);
-        run.l4 = routing::verify_chain_multiplicities(router, *sub);
-        run.t2 = routing::full_routing_from_chain_counts(*sub, run.counts);
-        run.secs = timer.seconds();
-        brute.emplace(std::move(run));
-      }
-      if (k <= c.kmax_memo) {
-        bench::Stopwatch timer;
-        ChainRun run;
-        run.counts = memo.chain_hits(*sub);
-        run.l3 = routing::chain_stats_from_counts(run.counts, *sub);
-        run.l4 = memo.verify_chain_multiplicities(*sub);
-        run.t2 = routing::full_routing_from_chain_counts(*sub, run.counts);
-        run.secs = timer.seconds();
-        memo_run.emplace(std::move(run));
-      }
-
-      const auto emit = [&](const ChainRun& run, routing::EngineKind kind) {
-        const char* engine = routing::engine_name(kind);
-        auto& rec = json.add_record()
-                        .set("experiment", "chain_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine", engine)
-                        .set("chains", run.l3.num_paths)
-                        .set("l3_max_hits", run.l3.max_hits)
-                        .set("l3_bound", run.l3.bound)
-                        .set("l4_exact", run.l4)
-                        .set("t2_max_vertex_hits", run.t2.max_vertex_hits)
-                        .set("t2_max_meta_hits", run.t2.max_meta_hits)
-                        .set("t2_bound", run.t2.bound)
-                        .set("ok", run.ok())
-                        .set("seconds", run.secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (kind == routing::EngineKind::kMemo && brute.has_value()) {
-          const bool identical =
-              hits_equal(run.counts.hits, brute->counts.hits) &&
-              run.counts.num_chains == brute->counts.num_chains &&
-              run.counts.max_hits == brute->counts.max_hits &&
-              run.counts.argmax == brute->counts.argmax;
-          const double speedup =
-              run.secs > 0 ? brute->secs / run.secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
+    for (const Case& raw : cases) {
+      const Case c = capped(raw);
+      const auto alg = bilinear::by_name(c.name);
+      const routing::ChainRouter router(alg);
+      const routing::MemoRoutingEngine memo(router);
+      std::optional<routing::DecodeRouter> decoder;
+      if (decode) decoder.emplace(alg);
+      for (int k = 1; k <= std::max(c.kmax_brute, c.kmax_memo); ++k) {
+        const cdag::Cdag graph(alg, k, {.with_coefficients = false});
+        const cdag::SubComputation sub(graph, k, 0);
+        const routing::RoutingSpec spec{decode, c.name, k,
+                                        routing::EngineKind::kMemo};
+        std::optional<routing::RoutingPoint> brute, memo_run;
+        if (k <= c.kmax_brute) {
+          brute = run_brute_point(spec, router, decoder ? &*decoder : nullptr,
+                                  sub);
+        }
+        if (k <= c.kmax_memo) {
+          memo_run = routing::run_memo_point(spec, sub);
+          // Theorem 2 both ways: the array aggregation the record carries
+          // against the digit-state DP, the verdict engine everywhere
+          // else.
+          if (!decode && !(memo_run->chain.t2 == memo.verify_full_routing(sub))) {
             std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d memo chain counts differ "
-                         "from brute\n",
+                         "DIVERGENCE: %s k=%d Theorem-2 array aggregation "
+                         "differs from the digit-state DP\n",
                          c.name.c_str(), k);
             failed = true;
           }
         }
-        if (!run.ok()) failed = true;
-        table.add_row({c.name, std::to_string(k), engine,
-                       fmt_count(run.l3.num_paths), fmt_count(run.l3.max_hits),
-                       fmt_count(run.l3.bound), run.l4 ? "yes" : "NO",
-                       fmt_count(run.t2.max_vertex_hits),
-                       fmt_count(run.t2.max_meta_hits),
-                       fmt_count(run.t2.bound), run.ok() ? "OK" : "VIOLATED",
-                       fmt_fixed(run.secs, 2), speed});
-      };
-      if (brute) emit(*brute, routing::EngineKind::kBrute);
-      if (memo_run) emit(*memo_run, routing::EngineKind::kMemo);
 
-      if (k <= c.kmax_implicit) {
-        bench::Stopwatch timer;
-        const cdag::ImplicitCdag iview(alg, k);
-        const routing::HitStats l3 = memo.verify_chain_routing(iview, k, 0);
-        const bool l4 = memo.verify_chain_multiplicities(iview, k, 0);
-        const routing::FullRoutingStats t2 =
-            memo.verify_full_routing(iview, k, 0);
-        const double secs = timer.seconds();
-        const bool run_ok = l3.ok() && l4 && t2.ok();
-        auto& rec = json.add_record()
-                        .set("experiment", "chain_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine",
-                             routing::engine_name(
-                                 routing::EngineKind::kImplicit))
-                        .set("chains", l3.num_paths)
-                        .set("l3_max_hits", l3.max_hits)
-                        .set("l3_bound", l3.bound)
-                        .set("l4_exact", l4)
-                        .set("t2_max_vertex_hits", t2.max_vertex_hits)
-                        .set("t2_max_meta_hits", t2.max_meta_hits)
-                        .set("t2_bound", t2.bound)
-                        .set("ok", run_ok)
-                        .set("seconds", secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (memo_run.has_value()) {
-          const bool identical =
-              l3.num_paths == memo_run->l3.num_paths &&
-              l3.max_hits == memo_run->l3.max_hits &&
-              l3.bound == memo_run->l3.bound &&
-              l3.argmax == memo_run->l3.argmax && l4 == memo_run->l4 &&
-              t2.num_paths == memo_run->t2.num_paths &&
-              t2.max_vertex_hits == memo_run->t2.max_vertex_hits &&
-              t2.argmax_vertex == memo_run->t2.argmax_vertex &&
-              t2.max_meta_hits == memo_run->t2.max_meta_hits &&
-              t2.bound == memo_run->t2.bound &&
-              t2.root_hit_property == memo_run->t2.root_hit_property;
-          const double speedup = secs > 0 ? memo_run->secs / secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
-            std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d implicit chain stats differ "
-                         "from memo\n",
-                         c.name.c_str(), k);
-            failed = true;
+        for (const std::optional<routing::RoutingPoint>* slot :
+             {&brute, &memo_run}) {
+          if (!slot->has_value()) continue;
+          const routing::RoutingPoint& run = **slot;
+          const routing::HitStats& stats = headline(run);
+          auto& rec = json.add_record();
+          routing::fill_routing_record(run, rec);
+          rec.set("seconds", run.seconds)
+              .set("max_rss_bytes", obs::max_rss_bytes());
+          std::string speed = "-";
+          if (slot == &memo_run && brute) {
+            const bool identical =
+                run.hits == brute->hits && stats == headline(*brute);
+            const double speedup =
+                run.seconds > 0 ? brute->seconds / run.seconds : 0.0;
+            rec.set("counts_bit_identical", identical)
+                .set("speedup", speedup);
+            speed = fmt_fixed(speedup, 1) + "x";
+            if (!identical) {
+              std::fprintf(stderr,
+                           "DIVERGENCE: %s k=%d memo %s counts differ from "
+                           "brute\n",
+                           c.name.c_str(), k, decode ? "decode" : "chain");
+              failed = true;
+            }
           }
+          if (!run.ok()) failed = true;
+          std::vector<std::string> row = {
+              c.name, std::to_string(k), routing::engine_name(run.spec.engine),
+              fmt_count(stats.num_paths), fmt_count(stats.max_hits),
+              fmt_count(stats.bound)};
+          if (decode) {
+            row.push_back(fmt_fixed(static_cast<double>(stats.bound) /
+                                        static_cast<double>(stats.max_hits),
+                                    1));
+          } else {
+            const routing::ChainVerdicts& v = run.chain;
+            row.insert(row.end(), {v.l4 ? "yes" : "NO",
+                                   fmt_count(v.t2.max_vertex_hits),
+                                   fmt_count(v.t2.max_meta_hits),
+                                   fmt_count(v.t2.bound)});
+          }
+          row.insert(row.end(), {run.ok() ? "OK" : "VIOLATED",
+                                 fmt_fixed(run.seconds, 2), speed});
+          table.add_row(std::move(row));
         }
-        if (!run_ok) failed = true;
-        table.add_row(
-            {c.name, std::to_string(k),
-             routing::engine_name(routing::EngineKind::kImplicit),
-             fmt_count(l3.num_paths), fmt_count(l3.max_hits),
-             fmt_count(l3.bound), l4 ? "yes" : "NO",
-             fmt_count(t2.max_vertex_hits), fmt_count(t2.max_meta_hits),
-             fmt_count(t2.bound), run_ok ? "OK" : "VIOLATED",
-             fmt_fixed(secs, 2), speed});
       }
     }
+    table.print(std::cout);
   }
-  table.print(std::cout);
-
-  bench::print_banner(
-      "E5: Claim 1 — the decoding-graph routing of Section 5",
-      "Claim: for bases with a connected decoding graph there is an\n"
-      "(|D_1| * max(a,b)^k)-routing between the inputs and outputs of D_k\n"
-      "(11 * 7^k for Strassen). The brute engine enumerates every\n"
-      "zig-zag; the memoized engine fills the array from the D_1 visit\n"
-      "tables.");
-  support::Table claim1({"algorithm", "k", "engine", "paths", "max hits",
-                         "bound", "slack", "ok", "sec", "speedup"});
-
-  std::vector<Case> decode_cases = {
-      {"strassen", 5, 6}, {"winograd", 5, 6}, {"laderman", 3, 4}};
-  if (opt.full_catalog) add_catalog_cases(decode_cases, 3, true);
-
-  for (const Case& raw : decode_cases) {
-    const ActiveCase c = capped(opt, raw);
-    const auto alg = bilinear::by_name(c.name);
-    const routing::ChainRouter router(alg);
-    const routing::DecodeRouter decoder(alg);
-    const routing::MemoRoutingEngine memo(router, decoder);
-    for (int k = 1; k <= c.kmax(); ++k) {
-      std::optional<cdag::Cdag> graph;
-      std::optional<cdag::SubComputation> sub;
-      if (k <= c.kmax_brute || k <= c.kmax_memo) {
-        graph.emplace(alg, k, cdag::CdagOptions{.with_coefficients = false});
-        sub.emplace(*graph, k, 0);
-      }
-
-      struct DecodeRun {
-        std::vector<std::uint64_t> hits;
-        routing::HitStats stats;
-        double secs = 0;
-      };
-      std::optional<DecodeRun> brute, memo_run;
-
-      if (k <= c.kmax_brute) {
-        bench::Stopwatch timer;
-        DecodeRun run;
-        run.hits = routing::count_decode_hits(decoder, *sub);
-        const auto& layout = graph->layout();
-        run.stats.num_paths = layout.pow_b()(k) * layout.pow_a()(k);
-        run.stats.bound =
-            static_cast<std::uint64_t>(decoder.d1_size()) *
-            std::max(layout.pow_a()(k), layout.pow_b()(k));
-        for (cdag::VertexId v = 0; v < run.hits.size(); ++v) {
-          if (run.hits[v] > run.stats.max_hits) {
-            run.stats.max_hits = run.hits[v];
-            run.stats.argmax = v;
-          }
-        }
-        run.secs = timer.seconds();
-        brute.emplace(std::move(run));
-      }
-      if (k <= c.kmax_memo) {
-        bench::Stopwatch timer;
-        DecodeRun run;
-        run.hits = memo.decode_hits(*sub);
-        run.stats = memo.verify_decode_routing(*sub);
-        run.secs = timer.seconds();
-        memo_run.emplace(std::move(run));
-      }
-
-      const auto emit = [&](const DecodeRun& run, routing::EngineKind kind) {
-        const char* engine = routing::engine_name(kind);
-        auto& rec = json.add_record()
-                        .set("experiment", "decode_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine", engine)
-                        .set("paths", run.stats.num_paths)
-                        .set("max_hits", run.stats.max_hits)
-                        .set("bound", run.stats.bound)
-                        .set("ok", run.stats.ok())
-                        .set("seconds", run.secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (kind == routing::EngineKind::kMemo && brute.has_value()) {
-          const bool identical = hits_equal(run.hits, brute->hits) &&
-                                 run.stats.max_hits == brute->stats.max_hits &&
-                                 run.stats.argmax == brute->stats.argmax;
-          const double speedup =
-              run.secs > 0 ? brute->secs / run.secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
-            std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d memo decode counts differ "
-                         "from brute\n",
-                         c.name.c_str(), k);
-            failed = true;
-          }
-        }
-        if (!run.stats.ok()) failed = true;
-        claim1.add_row(
-            {c.name, std::to_string(k), engine, fmt_count(run.stats.num_paths),
-             fmt_count(run.stats.max_hits), fmt_count(run.stats.bound),
-             fmt_fixed(static_cast<double>(run.stats.bound) /
-                           static_cast<double>(run.stats.max_hits),
-                       1),
-             run.stats.ok() ? "OK" : "VIOLATED", fmt_fixed(run.secs, 2),
-             speed});
-      };
-      if (brute) emit(*brute, routing::EngineKind::kBrute);
-      if (memo_run) emit(*memo_run, routing::EngineKind::kMemo);
-
-      if (k <= c.kmax_implicit) {
-        bench::Stopwatch timer;
-        const cdag::ImplicitCdag iview(alg, k);
-        const routing::HitStats stats =
-            memo.verify_decode_routing(iview, k, 0);
-        const double secs = timer.seconds();
-        auto& rec = json.add_record()
-                        .set("experiment", "decode_routing")
-                        .set("algorithm", c.name)
-                        .set("k", k)
-                        .set("engine",
-                             routing::engine_name(
-                                 routing::EngineKind::kImplicit))
-                        .set("paths", stats.num_paths)
-                        .set("max_hits", stats.max_hits)
-                        .set("bound", stats.bound)
-                        .set("ok", stats.ok())
-                        .set("seconds", secs)
-                        .set("max_rss_bytes", obs::max_rss_bytes());
-        std::string speed = "-";
-        if (memo_run.has_value()) {
-          const bool identical =
-              stats.num_paths == memo_run->stats.num_paths &&
-              stats.max_hits == memo_run->stats.max_hits &&
-              stats.bound == memo_run->stats.bound &&
-              stats.argmax == memo_run->stats.argmax;
-          const double speedup = secs > 0 ? memo_run->secs / secs : 0.0;
-          rec.set("counts_bit_identical", identical).set("speedup", speedup);
-          speed = fmt_fixed(speedup, 1) + "x";
-          if (!identical) {
-            std::fprintf(stderr,
-                         "DIVERGENCE: %s k=%d implicit decode stats differ "
-                         "from memo\n",
-                         c.name.c_str(), k);
-            failed = true;
-          }
-        }
-        if (!stats.ok()) failed = true;
-        claim1.add_row(
-            {c.name, std::to_string(k),
-             routing::engine_name(routing::EngineKind::kImplicit),
-             fmt_count(stats.num_paths), fmt_count(stats.max_hits),
-             fmt_count(stats.bound),
-             fmt_fixed(static_cast<double>(stats.bound) /
-                           static_cast<double>(stats.max_hits),
-                       1),
-             stats.ok() ? "OK" : "VIOLATED", fmt_fixed(secs, 2), speed});
-      }
-    }
-  }
-  claim1.print(std::cout);
 
   // With PR_OBS=1 in the environment the run was traced; PR_TRACE_OUT
   // dumps the spans as a chrome://tracing file and PR_METRICS_OUT the

@@ -18,8 +18,9 @@
 //      concurrent client threads; reports requests/second.
 //
 // Counts in every record (hits, misses, unique keys, certificate
-// words) are bit-identical re-runnable — pr_bench_gate replays the
-// same trace against a fresh store and compares them exactly; only
+// words) are bit-identical re-runnable — every record is written by
+// service::fill_service_record, and pr_bench_gate replays the same
+// trace against a fresh store and compares them exactly; only
 // the *_us / rps / seconds fields are timing. Exits nonzero on a
 // latency-threshold breach, a bound violation, or an error response,
 // so the service-perfsmoke ctest entry is a hard gate.
@@ -47,28 +48,10 @@ using support::fmt_fixed;
 constexpr double kHitP99LimitUs = 100.0;   // cache-hit p99 budget
 constexpr double kColdMissLimitMs = 50.0;  // strassen k=7 chain, cold
 
-void add_trace_record(bench::BenchJson& json, const char* experiment,
-                      const service::TraceSpec& spec,
-                      const service::ReplayResult& r, int client_threads) {
-  json.add_record()
-      .set("experiment", experiment)
-      .set("engine", "service")
-      .set("seed", spec.seed)
-      .set("client_threads", client_threads)
-      .set("requests", r.requests)
-      .set("unique_keys", r.unique_keys)
-      .set("ok", r.ok)
-      .set("errors", r.errors)
-      .set("cache_hits", r.cache_hits)
-      .set("computed", r.computed)
-      .set("seconds", r.seconds)
-      .set("hit_p50_us", service::percentile_us(r.hit_us, 50))
-      .set("hit_p99_us", service::percentile_us(r.hit_us, 99))
-      .set("miss_p50_us", service::percentile_us(r.miss_us, 50))
-      .set("miss_p99_us", service::percentile_us(r.miss_us, 99))
-      .set("rps", r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds
-                                : 0.0)
-      .set("max_rss_bytes", obs::max_rss_bytes());
+void add_record(bench::BenchJson& json, const service::ServiceRun& run) {
+  obs::BenchRecord& rec = json.add_record();
+  service::fill_service_record(run, rec);
+  rec.set("max_rss_bytes", obs::max_rss_bytes());
 }
 
 }  // namespace
@@ -103,33 +86,19 @@ int main(int argc, char** argv) {
     service::ServiceConfig config;
     config.store_dir = store_dir + "/cold";
     service::CertificateService svc(config);
-    const service::Request req{"strassen", 7, service::CertKind::kChain};
+    service::ServiceRun run;
+    run.spec.experiment = "service_cold_miss";
+    run.spec.request = {"strassen", 7, service::CertKind::kChain};
     bench::Stopwatch timer;
-    const service::Response resp = svc.serve(req);
-    const double secs = timer.seconds();
-    const double ms = secs * 1e3;
-    if (!resp.ok) {
-      std::fprintf(stderr, "COLD MISS FAILED: %s\n", resp.error.c_str());
+    run.response = svc.serve(run.spec.request);
+    run.seconds = timer.seconds();
+    const double ms = run.seconds * 1e3;
+    if (!run.response.ok) {
+      std::fprintf(stderr, "COLD MISS FAILED: %s\n",
+                   run.response.error.c_str());
       failed = true;
     } else {
-      const auto& w = resp.certificate.words;
-      json.add_record()
-          .set("experiment", "service_cold_miss")
-          .set("engine", "service")
-          .set("algorithm", req.algorithm)
-          .set("k", req.k)
-          .set("kind", service::kind_name(req.kind))
-          .set("ok", resp.ok)
-          .set("cached", resp.from_cache)
-          .set("chains", w[service::kChainNumChains])
-          .set("l3_max", w[service::kChainL3MaxHits])
-          .set("l3_bound", w[service::kChainL3Bound])
-          .set("l4", w[service::kChainL4Exact])
-          .set("has_fnv", w[service::kChainHasHitDigest])
-          .set("digest", resp.certificate.payload_digest)
-          .set("cold_us", secs * 1e6)
-          .set("seconds", secs)
-          .set("max_rss_bytes", obs::max_rss_bytes());
+      add_record(json, run);
       std::printf("cold miss  strassen k=7 chain: %.2f ms (limit %.0f ms)\n",
                   ms, kColdMissLimitMs);
       if (ms >= kColdMissLimitMs) {
@@ -150,8 +119,14 @@ int main(int argc, char** argv) {
   support::Table table({"phase", "clients", "requests", "hits", "computed",
                         "hit p50 us", "hit p99 us", "miss p50 us", "sec",
                         "req/s"});
-  const auto add_row = [&](const char* phase, int clients,
-                           const service::ReplayResult& r) {
+  // One replay phase: its record, its table row, its error check.
+  const auto replayed = [&](const char* experiment, const char* phase,
+                            int clients, const service::ReplayResult& r) {
+    service::ServiceRun run;
+    run.spec = {experiment, {}, spec, clients};
+    run.replay = r;
+    run.seconds = r.seconds;
+    add_record(json, run);
     table.add_row({phase, std::to_string(clients), fmt_count(r.requests),
                    fmt_count(r.cache_hits), fmt_count(r.computed),
                    fmt_fixed(service::percentile_us(r.hit_us, 50), 1),
@@ -160,11 +135,8 @@ int main(int argc, char** argv) {
                    fmt_fixed(r.seconds, 3),
                    fmt_count(static_cast<std::uint64_t>(
                        r.seconds > 0 ? r.requests / r.seconds : 0))});
-  };
-  const auto check_clean = [&](const char* phase,
-                               const service::ReplayResult& r) {
     if (r.errors != 0) {
-      std::fprintf(stderr, "%s: %llu error responses\n", phase,
+      std::fprintf(stderr, "%s: %llu error responses\n", experiment,
                    static_cast<unsigned long long>(r.errors));
       failed = true;
     }
@@ -176,9 +148,7 @@ int main(int argc, char** argv) {
   {
     service::CertificateService svc(config);
     const service::ReplayResult r = service::replay_trace(svc, trace, 1);
-    add_trace_record(json, "service_trace", spec, r, 1);
-    add_row("trace (cold store)", 1, r);
-    check_clean("service_trace", r);
+    replayed("service_trace", "trace (cold store)", 1, r);
     const double p99 = service::percentile_us(r.hit_us, 99);
     if (p99 >= kHitP99LimitUs) {
       std::fprintf(stderr, "CACHE-HIT P99 OVER BUDGET: %.1f us >= %.0f us\n",
@@ -193,9 +163,7 @@ int main(int argc, char** argv) {
     // full validation, repeats are index probes.
     service::CertificateService svc(config);
     const service::ReplayResult warm = service::replay_trace(svc, trace, 1);
-    add_trace_record(json, "service_warm", spec, warm, 1);
-    add_row("warm (mmap reload)", 1, warm);
-    check_clean("service_warm", warm);
+    replayed("service_warm", "warm (mmap reload)", 1, warm);
     if (warm.computed != 0) {
       std::fprintf(stderr,
                    "WARM REPLAY RECOMPUTED %llu KEYS (store should have "
@@ -208,9 +176,7 @@ int main(int argc, char** argv) {
     for (const int clients : {1, 2, 4, 8}) {
       const service::ReplayResult r =
           service::replay_trace(svc, trace, clients);
-      add_trace_record(json, "service_throughput", spec, r, clients);
-      add_row("throughput (warm)", clients, r);
-      check_clean("service_throughput", r);
+      replayed("service_throughput", "throughput (warm)", clients, r);
     }
   }
   table.print(std::cout);

@@ -1,5 +1,6 @@
 #include "pathrouting/bilinear/catalog.hpp"
 
+#include <algorithm>
 #include <utility>
 
 #include "pathrouting/support/check.hpp"
@@ -248,6 +249,11 @@ std::vector<std::string> catalog_names() {
           "laderman",         "strassen_squared",
           "classical2_x_strassen", "strassen_x_classical2",
           "winograd_squared", "strassen_x_laderman"};
+}
+
+bool is_catalog_name(const std::string& name) {
+  const std::vector<std::string> names = catalog_names();
+  return std::find(names.begin(), names.end(), name) != names.end();
 }
 
 BilinearAlgorithm by_name(const std::string& name) {

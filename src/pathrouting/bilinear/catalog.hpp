@@ -54,6 +54,10 @@ BilinearAlgorithm strassen_x_laderman();
 /// Names of all catalog entries accepted by `by_name`.
 std::vector<std::string> catalog_names();
 
+/// Whether `by_name(name)` would succeed — the check callers holding
+/// outside input (CLI flags, requests, BENCH records) make first.
+bool is_catalog_name(const std::string& name);
+
 /// Lookup by name ("classical2", "classical3", "strassen", "winograd",
 /// "laderman", "strassen_squared", "classical2_x_strassen",
 /// "strassen_x_classical2"). Aborts on unknown name.

@@ -15,6 +15,7 @@
 #include <utility>
 
 #include "pathrouting/bilinear/analysis.hpp"
+#include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/support/debug_hooks.hpp"
@@ -108,6 +109,55 @@ std::uint64_t edge_count(const BilinearAlgorithm& alg, const Layout& layout) {
     num_edges += pb(r - t) * pa(t - 1) * w_nnz;
   }
   return num_edges;
+}
+
+std::uint64_t layout_vertex_count(const BilinearAlgorithm& alg, int r) {
+  unsigned __int128 total = 0;
+  for (int t = 0; t <= r; ++t) {
+    unsigned __int128 enc = 2, dec = 1;
+    for (int i = 0; i < t; ++i) enc *= alg.b(), dec *= alg.a();
+    for (int i = t; i < r; ++i) enc *= alg.a(), dec *= alg.b();
+    total += enc + dec;
+    if (total >= kInvalidVertex) return kInvalidVertex;
+  }
+  return static_cast<std::uint64_t>(total);
+}
+
+int max_rank_within_ids(const BilinearAlgorithm& alg) {
+  int r = 0;
+  while (r < 64 && layout_vertex_count(alg, r + 1) < kInvalidVertex) ++r;
+  return r;
+}
+
+int max_rank_within_edges(const BilinearAlgorithm& alg, int max_rank) {
+  int r = 0;
+  while (r < max_rank &&
+         edge_count(alg, Layout(alg.n0(), alg.b(), r + 1)) < kInvalidVertex) {
+    ++r;
+  }
+  return r;
+}
+
+std::string rank_error(const std::string& name, std::int64_t k,
+                       bool explicit_build) {
+  if (!bilinear::is_catalog_name(name)) {
+    return "unknown algorithm '" + name + "'";
+  }
+  if (k < 1) return "k must be >= 1 (got " + std::to_string(k) + ")";
+  const BilinearAlgorithm alg = bilinear::by_name(name);
+  const int max_ids = max_rank_within_ids(alg);
+  if (k > max_ids) {
+    return "k " + std::to_string(k) + " exceeds the id-space limit " +
+           std::to_string(max_ids) + " for '" + name + "'";
+  }
+  if (!explicit_build) return "";
+  const int max_edges = max_rank_within_edges(alg, max_ids);
+  if (k > max_edges) {
+    return "G_" + std::to_string(k) + " of '" + name +
+           "' has too many edges for the 32-bit edge offsets (largest k " +
+           std::to_string(max_edges) + ")";
+  }
+  return "";
 }
 
 Cdag::Cdag(BilinearAlgorithm alg, int r, CdagOptions options)

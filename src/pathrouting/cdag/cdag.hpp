@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "pathrouting/bilinear/bilinear.hpp"
@@ -41,6 +42,30 @@ struct CdagOptions {
 /// check it first.
 [[nodiscard]] std::uint64_t edge_count(const BilinearAlgorithm& alg,
                                        const Layout& layout);
+
+/// Vertex count of G_r for `alg` without constructing its Layout (the
+/// Layout ctor aborts past 32-bit ids): sum_t 2 b^t a^(r-t) +
+/// b^(r-t) a^t, saturated at kInvalidVertex. Requires r <= 64.
+[[nodiscard]] std::uint64_t layout_vertex_count(const BilinearAlgorithm& alg,
+                                                int r);
+
+/// Largest rank whose layout stays within the 32-bit id space — the
+/// same limit every engine in the repo lives under (ImplicitCdag's
+/// only one).
+[[nodiscard]] int max_rank_within_ids(const BilinearAlgorithm& alg);
+
+/// Largest rank (at most `max_rank`, itself at most
+/// max_rank_within_ids) whose explicit CDAG the builder can address:
+/// its edge_count stays below the 32-bit edge offsets.
+[[nodiscard]] int max_rank_within_edges(const BilinearAlgorithm& alg,
+                                        int max_rank);
+
+/// Why G_k of the catalog algorithm `name` cannot be built, or "" when
+/// it can: an unknown name, k < 1, k past the 32-bit id space, or (for
+/// an explicit build) past the builder's 32-bit edge offsets. The check
+/// callers holding outside input (CLI flags, BENCH records) make first.
+[[nodiscard]] std::string rank_error(const std::string& name, std::int64_t k,
+                                     bool explicit_build);
 
 class Cdag {
  public:

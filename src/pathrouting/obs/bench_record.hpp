@@ -110,6 +110,21 @@ class BenchRecord {
   std::vector<std::pair<std::string, BenchValue>> fields_;
 };
 
+/// What a layer rebuilds from one baseline record — the workload spec
+/// its `*_spec_from_record` reads, or the whole re-derived record its
+/// `rederive_*_record` writes — or why the record cannot be rebuilt.
+/// BENCH JSON is outside input: a reader rejects an unknown name or an
+/// out-of-range size with a message, never with a precondition abort.
+template <typename T>
+struct FromRecord {
+  std::optional<T> value;
+  std::string error;  // non-empty iff !value
+
+  static FromRecord reject(std::string why) {
+    return {std::nullopt, std::move(why)};
+  }
+};
+
 /// A whole BENCH_*.json file.
 struct BenchFile {
   std::string bench;

@@ -1,6 +1,8 @@
 #include "pathrouting/parallel/scaling.hpp"
 
+#include <chrono>
 #include <cmath>
+#include <utility>
 
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/bounds/formulas.hpp"
@@ -16,6 +18,15 @@ std::uint64_t u64_pow(std::uint64_t base, int exp) {
   std::uint64_t out = 1;
   for (int i = 0; i < exp; ++i) out = checked_mul(out, base);
   return out;
+}
+
+/// Whether factor * base^exp fits in a u64 (without aborting).
+bool fits_u64_pow(std::uint64_t base, int exp, std::uint64_t factor) {
+  std::uint64_t out = factor;
+  for (int i = 0; i < exp; ++i) {
+    if (__builtin_mul_overflow(out, base, &out)) return false;
+  }
+  return true;
 }
 
 void finish_bounds(ScalingPoint& point, double w0) {
@@ -152,20 +163,68 @@ void fill_scaling_record(const ScalingPoint& point, obs::BenchRecord& rec) {
       .set("ratio_vs_lb", point.ratio_vs_lb);
 }
 
-ScalingSpec scaling_spec_from_record(const obs::BenchRecord& rec) {
+obs::FromRecord<ScalingSpec> scaling_spec_from_record(
+    const obs::BenchRecord& rec) {
   ScalingSpec spec;
   spec.schedule = rec.text_or("schedule", "");
   spec.algorithm = rec.text_or("base", "");
   spec.regime = rec.text_or("regime", "");
-  spec.grid = static_cast<std::uint64_t>(rec.int_or("grid", 0));
-  spec.panel = static_cast<std::uint64_t>(rec.int_or("panel", 0));
-  spec.r = static_cast<int>(rec.int_or("r", 0));
-  spec.bfs_levels = static_cast<int>(rec.int_or("bfs_levels", 0));
+  const bool summa = spec.schedule == "summa";
   // summa stores its own n; caps re-derives n0^r.
-  spec.n = spec.schedule == "summa"
-               ? static_cast<std::uint64_t>(rec.int_or("n", 0))
-               : 0;
-  return spec;
+  const std::int64_t n = summa ? rec.int_or("n", 0) : 0;
+  const std::int64_t grid = rec.int_or("grid", 0);
+  const std::int64_t panel = rec.int_or("panel", 0);
+  const std::int64_t r = rec.int_or("r", 0);
+  const std::int64_t levels = rec.int_or("bfs_levels", 0);
+  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  std::string error;
+  if (!summa && spec.schedule != "caps") {
+    error = "unknown schedule '" + spec.schedule + "'";
+  } else if (spec.regime != "minimal" && spec.regime != "knee" &&
+             spec.regime != "unbounded") {
+    error = "unknown memory regime '" + spec.regime + "'";
+  } else if (summa && (grid < 1 || n < 1 || n % grid != 0 || panel < 1 ||
+                       panel > n / grid)) {
+    error = "summa needs grid >= 1 dividing n and 1 <= panel <= n/grid";
+  } else if (summa && (!fits_u64_pow(u(grid), 2, 1) ||
+                       !fits_u64_pow(u(n), 2, 3))) {
+    // The machine has grid^2 processors and the regimes size 3 n^2.
+    error = "summa n and grid overflow the u64 machine counters";
+  } else if (!summa && !bilinear::is_catalog_name(spec.algorithm)) {
+    error = "unknown algorithm '" + spec.algorithm + "'";
+  } else if (!summa && (r < 1 || levels < 1 || levels > r)) {
+    error = "caps needs 1 <= bfs_levels <= r";
+  } else if (!summa) {
+    // n^2 = a^r words per operand (3 n^2 in the minimal regime) and
+    // b^bfs_levels processors must fit the u64 machine counters.
+    const bilinear::BilinearAlgorithm alg = bilinear::by_name(spec.algorithm);
+    if (r > 64 || !fits_u64_pow(u(alg.a()), static_cast<int>(r), 3) ||
+        !fits_u64_pow(u(alg.b()), static_cast<int>(levels), 1)) {
+      error = "caps r and bfs_levels overflow the u64 machine counters";
+    }
+  }
+  if (!error.empty()) return obs::FromRecord<ScalingSpec>::reject(error);
+  spec.n = u(n);
+  spec.grid = u(grid);
+  spec.panel = u(panel);
+  spec.r = static_cast<int>(r);
+  spec.bfs_levels = static_cast<int>(levels);
+  return {std::move(spec), {}};
+}
+
+obs::FromRecord<obs::BenchRecord> rederive_scaling_record(
+    const obs::BenchRecord& ref) {
+  const obs::FromRecord<ScalingSpec> read = scaling_spec_from_record(ref);
+  if (!read.value) return obs::FromRecord<obs::BenchRecord>::reject(read.error);
+  const auto t0 = std::chrono::steady_clock::now();
+  const ScalingPoint point = run_scaling_point(*read.value);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  obs::BenchRecord fresh;
+  fill_scaling_record(point, fresh);
+  fresh.set("seconds", seconds);
+  return {std::move(fresh), {}};
 }
 
 }  // namespace pathrouting::parallel

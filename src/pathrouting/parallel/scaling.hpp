@@ -74,7 +74,16 @@ ScalingPoint run_scaling_point(const ScalingSpec& spec);
 void fill_scaling_record(const ScalingPoint& point, obs::BenchRecord& rec);
 
 /// Rebuilds the spec from a baseline record written by
-/// fill_scaling_record.
-ScalingSpec scaling_spec_from_record(const obs::BenchRecord& rec);
+/// fill_scaling_record. Rejects an unknown schedule, regime or (caps)
+/// algorithm, a summa grid that does not divide n or a panel outside
+/// 1..n/grid, caps levels outside 1 <= bfs_levels <= r, and sizes whose
+/// processor or word counts overflow u64.
+obs::FromRecord<ScalingSpec> scaling_spec_from_record(
+    const obs::BenchRecord& rec);
+
+/// Read, run, fill: the fresh record (with "seconds") for baseline
+/// record `ref`, or why `ref` cannot be re-derived.
+obs::FromRecord<obs::BenchRecord> rederive_scaling_record(
+    const obs::BenchRecord& ref);
 
 }  // namespace pathrouting::parallel

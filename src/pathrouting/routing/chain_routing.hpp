@@ -83,6 +83,7 @@ struct HitStats {
   std::uint64_t max_hits = 0;
   std::uint64_t bound = 0;
   VertexId argmax = 0;
+  bool operator==(const HitStats&) const = default;
   [[nodiscard]] bool ok() const { return max_hits <= bound; }
 };
 HitStats verify_chain_routing(const ChainRouter& router,

@@ -41,6 +41,7 @@ struct FullRoutingStats {
   std::uint64_t max_meta_hits = 0;  // paths hitting a meta-vertex (deduped)
   std::uint64_t bound = 0;          // 6 * a^k
   bool root_hit_property = true;    // every meta hit passes through the root
+  bool operator==(const FullRoutingStats&) const = default;
   [[nodiscard]] bool ok() const {
     return max_vertex_hits <= bound && max_meta_hits <= bound &&
            root_hit_property;

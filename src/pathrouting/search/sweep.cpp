@@ -1,7 +1,10 @@
 #include "pathrouting/search/sweep.hpp"
 
 #include <algorithm>
+#include <chrono>
+#include <utility>
 
+#include "pathrouting/audit/audit.hpp"
 #include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/bounds/formulas.hpp"
 #include "pathrouting/cdag/cdag.hpp"
@@ -11,6 +14,13 @@
 #include "pathrouting/support/digest.hpp"
 
 namespace pathrouting::search {
+
+namespace {
+
+constexpr const char* kExperiment = "schedule_search";
+constexpr const char* kSummaryExperiment = "schedule_search_summary";
+
+}  // namespace
 
 std::uint64_t graph_digest(const cdag::Graph& graph) {
   std::vector<std::uint64_t> words;
@@ -90,7 +100,7 @@ SweepPoint run_search_point(const SweepSpec& spec) {
 
 void fill_search_record(const SweepPoint& point, obs::BenchRecord& rec) {
   const SweepSpec& spec = point.spec;
-  rec.set("experiment", "schedule_search")
+  rec.set("experiment", kExperiment)
       .set("engine", "search")
       .set("algorithm", spec.algorithm)
       .set("k", spec.r)
@@ -122,16 +132,92 @@ void fill_search_record(const SweepPoint& point, obs::BenchRecord& rec) {
                                  : 0.0);
 }
 
-SweepSpec search_spec_from_record(const obs::BenchRecord& rec) {
+audit::AuditReport audit_point(const SweepPoint& point) {
+  const bilinear::BilinearAlgorithm alg =
+      bilinear::by_name(point.spec.algorithm);
+  const cdag::Cdag cdag(alg, point.spec.r, {.with_coefficients = false});
+  audit::SearchCertificateView cert;
+  cert.graph = &cdag.graph();
+  cert.schedule = point.witness;
+  cert.output_mask = point.output_mask;
+  cert.cache_size = point.spec.m;
+  cert.claimed_io = point.searched_io;
+  cert.claimed_lower_bound = point.lower_bound;
+  cert.claims_bound_met_optimal = point.proof == Proof::kBoundMet;
+  cert.theorem1_a = static_cast<std::uint64_t>(alg.a());
+  cert.theorem1_b = static_cast<std::uint64_t>(alg.b());
+  cert.theorem1_r = point.spec.r;
+  return audit::audit_search_certificate(cert);
+}
+
+std::string spec_error(const SweepSpec& spec) {
+  std::string error = cdag::rank_error(spec.algorithm, spec.r, true);
+  if (!error.empty()) return error;
+  const cdag::Cdag cdag(bilinear::by_name(spec.algorithm), spec.r,
+                        {.with_coefficients = false});
+  const std::uint64_t floor = pebble::min_cache_size(cdag.graph());
+  if (spec.m >= floor) return "";
+  return "M " + std::to_string(spec.m) +
+         " is below the pebble game's floor max in-degree + 1 = " +
+         std::to_string(floor) + " for '" + spec.algorithm +
+         "' r=" + std::to_string(spec.r);
+}
+
+obs::FromRecord<SweepSpec> search_spec_from_record(
+    const obs::BenchRecord& rec) {
+  using Read = obs::FromRecord<SweepSpec>;
   SweepSpec spec;
   spec.algorithm = rec.text_or("algorithm", "");
-  spec.r = static_cast<int>(rec.int_or("k", 1));
+  const std::int64_t r = rec.int_or("k", 1);
+  if (r < 1 || r > 64) {
+    return Read::reject(cdag::rank_error(spec.algorithm, r, true));
+  }
+  spec.r = static_cast<int>(r);
   spec.m = static_cast<std::uint64_t>(rec.int_or("m", 0));
+  if (std::string error = spec_error(spec); !error.empty()) {
+    return Read::reject(std::move(error));
+  }
   spec.node_budget = static_cast<std::uint64_t>(rec.int_or("budget", 0));
   spec.seed = static_cast<std::uint64_t>(rec.int_or("seed", 1));
   spec.ls_rounds = static_cast<std::uint64_t>(rec.int_or("ls_rounds", 16));
   spec.ls_moves = static_cast<std::uint64_t>(rec.int_or("ls_moves", 64));
-  return spec;
+  return {std::move(spec), {}};
+}
+
+obs::FromRecord<obs::BenchRecord> rederive_search_record(
+    const obs::BenchRecord& ref) {
+  const obs::FromRecord<SweepSpec> read = search_spec_from_record(ref);
+  if (!read.value) return obs::FromRecord<obs::BenchRecord>::reject(read.error);
+  const auto t0 = std::chrono::steady_clock::now();
+  const SweepPoint point = run_search_point(*read.value);
+  const double seconds =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+          .count();
+  obs::BenchRecord fresh;
+  fill_search_record(point, fresh);
+  fresh.set("seconds", seconds);
+  return {std::move(fresh), {}};
+}
+
+obs::BenchRecord summarize_search_records(
+    std::span<const obs::BenchRecord> records) {
+  std::uint64_t instances = 0;
+  std::uint64_t certified = 0;
+  for (const obs::BenchRecord& rec : records) {
+    if (rec.text_or("experiment", "") != kExperiment) continue;
+    ++instances;
+    const obs::BenchValue* v = rec.find("certified");
+    if (v != nullptr && v->kind == obs::BenchValue::Kind::kBool &&
+        v->bool_value) {
+      ++certified;
+    }
+  }
+  obs::BenchRecord summary;
+  summary.set("experiment", kSummaryExperiment)
+      .set("engine", "search")
+      .set("instances", instances)
+      .set("certified_count", certified);
+  return summary;
 }
 
 }  // namespace pathrouting::search

@@ -1,7 +1,9 @@
 // One (algorithm, r, M) point of the schedule-search experiment (E20),
 // shared by bench_schedule_search and pr_bench_gate — the same code
 // path produces the committed baseline and re-derives it in CI, so a
-// count diff is a behavioural change, never a harness skew.
+// count diff is a behavioural change, never a harness skew. Records are
+// written by fill_search_record (and summarize_search_records) and read
+// back by search_spec_from_record.
 //
 // A point runs the whole pipeline on the catalog CDAG G_r:
 // DFS and BFS baselines through pebble::simulate (Belady), the seeded
@@ -14,9 +16,11 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "pathrouting/audit/diagnostic.hpp"
 #include "pathrouting/cdag/graph.hpp"
 #include "pathrouting/obs/bench_record.hpp"
 #include "pathrouting/search/optimizer.hpp"
@@ -71,8 +75,31 @@ std::uint64_t graph_digest(const cdag::Graph& graph);
 /// the point from the committed baseline alone.
 void fill_search_record(const SweepPoint& point, obs::BenchRecord& rec);
 
+/// The point's certificate audited with search.certified-optimal (the
+/// witness re-simulated on G_r, the claimed bound re-derived); pr_search
+/// and the bench refuse a point whose claims do not hold.
+audit::AuditReport audit_point(const SweepPoint& point);
+
+/// Why `spec` cannot run, or "": cdag::rank_error for an explicit G_r,
+/// then an M below pebble::min_cache_size(G_r).
+std::string spec_error(const SweepSpec& spec);
+
 /// Rebuilds the spec from a baseline record written by
-/// fill_search_record.
-SweepSpec search_spec_from_record(const obs::BenchRecord& rec);
+/// fill_search_record; a spec with a spec_error is rejected.
+obs::FromRecord<SweepSpec> search_spec_from_record(
+    const obs::BenchRecord& rec);
+
+/// Read, run, fill: the fresh record (with "seconds") for baseline
+/// record `ref`, or why `ref` cannot be re-derived.
+obs::FromRecord<obs::BenchRecord> rederive_search_record(
+    const obs::BenchRecord& ref);
+
+/// The schedule_search_summary roll-up over the schedule_search
+/// records among `records`: how many points ran ("instances") and how
+/// many were certified optimal ("certified_count"). The bench writes it
+/// over its matrix; the gate recomputes it over the fresh records, so a
+/// certificate lost anywhere fails the roll-up too.
+obs::BenchRecord summarize_search_records(
+    std::span<const obs::BenchRecord> records);
 
 }  // namespace pathrouting::search

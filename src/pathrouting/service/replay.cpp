@@ -1,13 +1,18 @@
 #include "pathrouting/service/replay.hpp"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <numeric>
 #include <set>
 #include <thread>
 #include <tuple>
+#include <utility>
 
+#include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/support/check.hpp"
 #include "pathrouting/support/prng.hpp"
 
@@ -34,6 +39,18 @@ constexpr SpaceEntry kSpace[] = {
     {"classical2_x_strassen", CertKind::kChain, 4},
     {"classical2_x_strassen", CertKind::kFull, 3},
 };
+
+constexpr const char* kColdMiss = "service_cold_miss";
+constexpr const char* kTrace = "service_trace";
+constexpr const char* kWarm = "service_warm";
+
+/// A throwaway store directory for one replay, unique per process.
+std::string replay_store_dir(const std::string& experiment) {
+  return (std::filesystem::temp_directory_path() /
+          ("pathrouting_replay." + std::to_string(::getpid()) + "." +
+           experiment))
+      .string();
+}
 
 }  // namespace
 
@@ -163,6 +180,122 @@ double percentile_us(std::vector<double> values, double p) {
   idx = idx == 0 ? 0 : idx - 1;
   idx = std::min(idx, values.size() - 1);
   return values[idx];
+}
+
+ServiceRun run_service_workload(const ServiceSpec& spec) {
+  ServiceRun run;
+  run.spec = spec;
+  if (spec.experiment == kColdMiss) {
+    CertificateService svc(ServiceConfig{});
+    const auto t0 = std::chrono::steady_clock::now();
+    run.response = svc.serve(spec.request);
+    run.seconds = std::chrono::duration<double>(
+                      std::chrono::steady_clock::now() - t0)
+                      .count();
+    return run;
+  }
+  PR_REQUIRE_MSG(spec.experiment == kTrace || spec.experiment == kWarm,
+                 "not a re-derivable service workload");
+  const std::vector<Request> trace = zipf_trace(spec.trace);
+  ServiceConfig config;
+  config.store_dir = replay_store_dir(spec.experiment);
+  std::error_code ec;
+  std::filesystem::remove_all(config.store_dir, ec);
+  {
+    CertificateService svc(config);
+    run.replay = replay_trace(svc, trace, spec.client_threads);
+  }
+  if (spec.experiment == kWarm) {
+    CertificateService reopened(config);
+    run.replay = replay_trace(reopened, trace, spec.client_threads);
+  }
+  run.seconds = run.replay.seconds;
+  std::filesystem::remove_all(config.store_dir, ec);
+  return run;
+}
+
+void fill_service_record(const ServiceRun& run, obs::BenchRecord& rec) {
+  const ServiceSpec& spec = run.spec;
+  rec.set("experiment", spec.experiment).set("engine", "service");
+  if (spec.experiment == kColdMiss) {
+    const Response& resp = run.response;
+    rec.set("algorithm", spec.request.algorithm)
+        .set("k", spec.request.k)
+        .set("kind", kind_name(spec.request.kind))
+        .set("ok", resp.ok)
+        .set("cached", resp.from_cache);
+    if (resp.ok) {
+      const auto& w = resp.certificate.words;
+      rec.set("chains", w[kChainNumChains])
+          .set("l3_max", w[kChainL3MaxHits])
+          .set("l3_bound", w[kChainL3Bound])
+          .set("l4", w[kChainL4Exact])
+          .set("has_fnv", w[kChainHasHitDigest])
+          .set("digest", resp.certificate.payload_digest);
+    }
+    rec.set("cold_us", run.seconds * 1e6).set("seconds", run.seconds);
+    return;
+  }
+  const ReplayResult& r = run.replay;
+  rec.set("seed", spec.trace.seed)
+      .set("client_threads", spec.client_threads)
+      .set("requests", r.requests)
+      .set("unique_keys", r.unique_keys)
+      .set("ok", r.ok)
+      .set("errors", r.errors)
+      .set("cache_hits", r.cache_hits)
+      .set("computed", r.computed)
+      .set("seconds", r.seconds)
+      .set("hit_p50_us", percentile_us(r.hit_us, 50))
+      .set("hit_p99_us", percentile_us(r.hit_us, 99))
+      .set("miss_p50_us", percentile_us(r.miss_us, 50))
+      .set("miss_p99_us", percentile_us(r.miss_us, 99))
+      .set("rps", r.seconds > 0 ? static_cast<double>(r.requests) / r.seconds
+                                : 0.0);
+}
+
+obs::FromRecord<ServiceSpec> service_spec_from_record(
+    const obs::BenchRecord& rec) {
+  using Read = obs::FromRecord<ServiceSpec>;
+  ServiceSpec spec;
+  spec.experiment = rec.text_or("experiment", "");
+  if (spec.experiment == kColdMiss) {
+    spec.request.algorithm = rec.text_or("algorithm", "");
+    const std::int64_t k = rec.int_or("k", 0);
+    const std::string error =
+        cdag::rank_error(spec.request.algorithm, k, false);
+    if (!error.empty()) return Read::reject(error);
+    const std::string kind = rec.text_or("kind", "");
+    if (kind != kind_name(CertKind::kChain)) {
+      return Read::reject("cold-miss kind '" + kind +
+                          "' is not re-derivable (chain only)");
+    }
+    spec.request.k = static_cast<int>(k);
+    spec.request.kind = CertKind::kChain;
+    return {std::move(spec), {}};
+  }
+  if (spec.experiment != kTrace && spec.experiment != kWarm) {
+    return Read::reject("experiment '" + spec.experiment +
+                        "' is not a re-derivable service workload");
+  }
+  spec.trace.seed = static_cast<std::uint64_t>(rec.int_or("seed", 0));
+  const std::int64_t requests = rec.int_or("requests", 0);
+  if (requests < 1 ||
+      static_cast<std::uint64_t>(requests) > kMaxTraceRequests) {
+    return Read::reject("requests " + std::to_string(requests) +
+                        " outside 1.." + std::to_string(kMaxTraceRequests));
+  }
+  spec.trace.num_requests = static_cast<std::uint64_t>(requests);
+  return {std::move(spec), {}};  // one client: the counts are exact
+}
+
+obs::FromRecord<obs::BenchRecord> rederive_service_record(
+    const obs::BenchRecord& ref) {
+  const obs::FromRecord<ServiceSpec> read = service_spec_from_record(ref);
+  if (!read.value) return obs::FromRecord<obs::BenchRecord>::reject(read.error);
+  obs::BenchRecord fresh;
+  fill_service_record(run_service_workload(*read.value), fresh);
+  return {std::move(fresh), {}};
 }
 
 }  // namespace pathrouting::service

@@ -20,54 +20,6 @@
 #include "pathrouting/support/parallel.hpp"
 
 namespace pathrouting::service {
-namespace {
-
-/// Vertex count of the G_r layout without constructing it (the Layout
-/// ctor aborts past 32-bit ids): sum_t 2 b^t a^(r-t) + b^(r-t) a^t,
-/// saturated at kInvalidVertex.
-unsigned __int128 layout_vertex_count(const bilinear::BilinearAlgorithm& alg,
-                                      int r) {
-  unsigned __int128 total = 0;
-  for (int t = 0; t <= r; ++t) {
-    unsigned __int128 enc = 2, dec = 1;
-    for (int i = 0; i < t; ++i) enc *= alg.b(), dec *= alg.a();
-    for (int i = t; i < r; ++i) enc *= alg.a(), dec *= alg.b();
-    total += enc + dec;
-    if (total >= cdag::kInvalidVertex) return cdag::kInvalidVertex;
-  }
-  return total;
-}
-
-/// Largest rank whose layout stays within the 32-bit id space — the
-/// same limit every engine in the repo lives under.
-int max_rank_within_ids(const bilinear::BilinearAlgorithm& alg) {
-  int r = 0;
-  while (r < 64 &&
-         layout_vertex_count(alg, r + 1) < cdag::kInvalidVertex) {
-    ++r;
-  }
-  return r;
-}
-
-/// Largest rank (at most `max_rank`) whose explicit CDAG the builder
-/// can address: its edge count stays below the 32-bit edge offsets.
-int max_rank_within_edges(const bilinear::BilinearAlgorithm& alg,
-                          int max_rank) {
-  int r = 0;
-  while (r < max_rank &&
-         cdag::edge_count(alg, cdag::Layout(alg.n0(), alg.b(), r + 1)) <
-             cdag::kInvalidVertex) {
-    ++r;
-  }
-  return r;
-}
-
-bool known_algorithm(const std::string& name) {
-  const std::vector<std::string> names = bilinear::catalog_names();
-  return std::find(names.begin(), names.end(), name) != names.end();
-}
-
-}  // namespace
 
 /// Everything needed to compute any certificate of one algorithm,
 /// built once and shared read-only by all serving threads. The memo
@@ -89,8 +41,8 @@ struct CertificateService::EngineArena {
   explicit EngineArena(bilinear::BilinearAlgorithm algorithm)
       : alg(std::move(algorithm)),
         digest(algorithm_digest(alg)),
-        max_rank(max_rank_within_ids(alg)),
-        max_segment_rank(max_rank_within_edges(alg, max_rank)),
+        max_rank(cdag::max_rank_within_ids(alg)),
+        max_segment_rank(cdag::max_rank_within_edges(alg, max_rank)),
         has_decode(bilinear::decoding_components(alg) == 1) {
     const routing::ChainRouter router(alg);
     if (has_decode) {
@@ -132,7 +84,7 @@ CertificateService::arena_for(const std::string& name, std::string* error) {
   std::lock_guard<std::mutex> lock(arenas_mutex_);
   const auto it = arenas_.find(name);
   if (it != arenas_.end()) return it->second;
-  if (!known_algorithm(name)) {
+  if (!bilinear::is_catalog_name(name)) {
     *error = "unknown algorithm '" + name + "'";
     return nullptr;
   }
@@ -191,7 +143,7 @@ Certificate CertificateService::compute(const EngineArena& arena,
 
   const routing::MemoRoutingEngine& engine = *arena.engine;
   const bool digestible =
-      layout_vertex_count(arena.alg, k) <= config_.digest_max_vertices;
+      cdag::layout_vertex_count(arena.alg, k) <= config_.digest_max_vertices;
 
   switch (request.kind) {
     case CertKind::kChain: {

@@ -16,7 +16,10 @@ Cli::Cli(int argc, const char* const* argv) {
       help_requested_ = true;
       continue;
     }
-    PR_REQUIRE_MSG(arg.rfind("--", 0) == 0, "flags must start with --");
+    if (arg.rfind("--", 0) != 0) {
+      stray_.push_back(arg);  // reported by finish()
+      continue;
+    }
     arg = arg.substr(2);
     const auto eq = arg.find('=');
     if (eq != std::string::npos) {
@@ -38,6 +41,17 @@ std::int64_t Cli::flag_int(const std::string& name, std::int64_t def,
   const std::string value = it->second;
   given_.erase(it);
   return std::strtoll(value.c_str(), nullptr, 10);
+}
+
+double Cli::flag_double(const std::string& name, double def,
+                        const std::string& help) {
+  help_lines_.push_back("  --" + name + "=<num>  (default " +
+                        std::to_string(def) + ")  " + help);
+  auto it = given_.find(name);
+  if (it == given_.end()) return def;
+  const std::string value = it->second;
+  given_.erase(it);
+  return std::strtod(value.c_str(), nullptr);
 }
 
 std::string Cli::flag_str(const std::string& name, const std::string& def,
@@ -69,12 +83,20 @@ void Cli::finish(const std::string& program_description) {
     for (const auto& line : help_lines_) std::printf("%s\n", line.c_str());
     std::exit(0);
   }
-  if (!given_.empty()) {
-    std::fprintf(stderr, "unknown flag(s):");
-    for (const auto& [name, value] : given_) {
-      std::fprintf(stderr, " --%s=%s", name.c_str(), value.c_str());
+  if (!given_.empty() || !stray_.empty()) {
+    if (!given_.empty()) {
+      std::fprintf(stderr, "unknown flag(s):");
+      for (const auto& [name, value] : given_) {
+        std::fprintf(stderr, " --%s=%s", name.c_str(), value.c_str());
+      }
+      std::fprintf(stderr, "\n");
     }
-    std::fprintf(stderr, "\nuse --help for usage\n");
+    if (!stray_.empty()) {
+      std::fprintf(stderr, "unexpected argument(s):");
+      for (const auto& arg : stray_) std::fprintf(stderr, " %s", arg.c_str());
+      std::fprintf(stderr, "\n");
+    }
+    std::fprintf(stderr, "use --help for usage\n");
     std::exit(2);
   }
 }

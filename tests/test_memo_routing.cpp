@@ -11,6 +11,7 @@
 #include "pathrouting/cdag/cdag.hpp"
 #include "pathrouting/routing/memo_routing.hpp"
 #include "pathrouting/routing/path_store.hpp"
+#include "pathrouting/routing/workload.hpp"
 
 namespace {
 
@@ -308,6 +309,97 @@ TEST(PathStoreTest, DotExportListsEveryChainVertex) {
     node += std::to_string(v);
     EXPECT_NE(dot.find(node), std::string::npos);
   }
+}
+
+/// A routing record with `key` overridden by `value`.
+template <typename Value>
+obs::BenchRecord routing_record(const std::string& key, Value value) {
+  obs::BenchRecord rec;
+  rec.set("experiment", "chain_routing")
+      .set("algorithm", "strassen")
+      .set("k", 2)
+      .set("engine", "memo");
+  rec.set(key, value);
+  return rec;
+}
+
+template <typename Value>
+std::string routing_reject(const std::string& key, Value value) {
+  const obs::FromRecord<RoutingSpec> read =
+      routing_spec_from_record(routing_record(key, value));
+  EXPECT_FALSE(read.value.has_value()) << key;
+  return read.error;
+}
+
+TEST(RoutingWorkload, RecordRoundTripsSpecAndRederivesExactly) {
+  for (const bool decode : {false, true}) {
+    for (const EngineKind engine : {EngineKind::kMemo, EngineKind::kImplicit}) {
+      const RoutingSpec spec{decode, "winograd", 3, engine};
+      const RoutingPoint point = run_routing_point(spec);
+      EXPECT_TRUE(point.ok());
+      EXPECT_EQ(point.hits.empty(), engine == EngineKind::kImplicit);
+      obs::BenchRecord rec;
+      fill_routing_record(point, rec);
+      const obs::FromRecord<RoutingSpec> read = routing_spec_from_record(rec);
+      ASSERT_TRUE(read.value.has_value()) << read.error;
+      EXPECT_EQ(read.value->decode, decode);
+      EXPECT_EQ(read.value->algorithm, "winograd");
+      EXPECT_EQ(read.value->k, 3);
+      EXPECT_EQ(read.value->engine, engine);
+      const obs::FromRecord<obs::BenchRecord> fresh =
+          rederive_routing_record(rec);
+      ASSERT_TRUE(fresh.value.has_value()) << fresh.error;
+      for (const auto& [key, value] : rec.fields()) {
+        const obs::BenchValue* again = fresh.value->find(key);
+        ASSERT_NE(again, nullptr) << key;
+        EXPECT_EQ(again->json(), value.json()) << key;
+      }
+    }
+  }
+}
+
+TEST(RoutingWorkload, MemoAndImplicitRecordsAgree) {
+  for (const bool decode : {false, true}) {
+    obs::BenchRecord memo, implicit;
+    fill_routing_record(
+        run_routing_point({decode, "strassen", 3, EngineKind::kMemo}), memo);
+    fill_routing_record(
+        run_routing_point({decode, "strassen", 3, EngineKind::kImplicit}),
+        implicit);
+    ASSERT_EQ(memo.fields().size(), implicit.fields().size());
+    for (const auto& [key, value] : memo.fields()) {
+      if (key == "engine") continue;
+      EXPECT_EQ(implicit.find(key)->json(), value.json()) << key;
+    }
+  }
+}
+
+TEST(RoutingWorkload, SpecReaderRejectsHostileRecords) {
+  EXPECT_EQ(routing_reject("experiment", "nosuch"),
+            "experiment 'nosuch' is not a routing workload");
+  EXPECT_EQ(routing_reject("engine", "brute"),
+            "engine 'brute' is not re-derivable");
+  EXPECT_EQ(routing_reject("algorithm", "nosuch"),
+            "unknown algorithm 'nosuch'");
+  EXPECT_EQ(routing_reject("k", 0), "k must be >= 1 (got 0)");
+  EXPECT_EQ(routing_reject("k", -3), "k must be >= 1 (got -3)");
+  EXPECT_EQ(routing_reject("k", 11),
+            "k 11 exceeds the id-space limit 10 for 'strassen'");
+  obs::BenchRecord past_edges = routing_record("algorithm",
+                                               "classical2_x_strassen");
+  past_edges.set("k", 5);
+  EXPECT_EQ(routing_spec_from_record(past_edges).error,
+            "G_5 of 'classical2_x_strassen' has too many edges for the "
+            "32-bit edge offsets (largest k 4)");
+  // The implicit engine has no edge arrays: only the id space limits it.
+  past_edges.set("engine", "implicit");
+  EXPECT_TRUE(routing_spec_from_record(past_edges).value.has_value());
+  obs::BenchRecord disconnected = routing_record("experiment",
+                                                 "decode_routing");
+  disconnected.set("algorithm", "classical2_x_strassen");
+  EXPECT_EQ(routing_spec_from_record(disconnected).error,
+            "the decoding graph of 'classical2_x_strassen' is disconnected; "
+            "Claim 1 does not apply");
 }
 
 }  // namespace

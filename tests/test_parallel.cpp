@@ -10,6 +10,7 @@
 #include "pathrouting/bounds/formulas.hpp"
 #include "pathrouting/parallel/caps.hpp"
 #include "pathrouting/parallel/distributed_strassen.hpp"
+#include "pathrouting/parallel/scaling.hpp"
 #include "pathrouting/parallel/summa.hpp"
 
 namespace {
@@ -400,6 +401,63 @@ TEST(CapsTest, MachineReplayBracketsTheDoubleModel) {
       EXPECT_LE(static_cast<double>(replay.bandwidth_cost), hi) << "l=" << l;
     }
   }
+}
+
+/// The reader's diagnostic for a scaling record with `key` overridden.
+template <typename Value>
+std::string scaling_reject(const char* schedule, const std::string& key,
+                           Value value) {
+  obs::BenchRecord rec;
+  rec.set("schedule", schedule)
+      .set("base", std::string(schedule) == "caps" ? "strassen" : "classical")
+      .set("regime", "minimal")
+      .set("n", 64)
+      .set("grid", 4)
+      .set("panel", 4)
+      .set("r", 4)
+      .set("bfs_levels", 2);
+  rec.set(key, value);
+  const obs::FromRecord<ScalingSpec> read = scaling_spec_from_record(rec);
+  EXPECT_FALSE(read.value.has_value()) << key;
+  return read.error;
+}
+
+TEST(ScalingWorkload, RecordRoundTripsAndRederivesExactly) {
+  for (const ScalingSpec& spec :
+       {ScalingSpec{"summa", "classical", "knee", 64, 4, 4, 0, 0},
+        ScalingSpec{"caps", "strassen", "minimal", 0, 0, 0, 4, 2}}) {
+    obs::BenchRecord rec;
+    fill_scaling_record(run_scaling_point(spec), rec);
+    const obs::FromRecord<ScalingSpec> read = scaling_spec_from_record(rec);
+    ASSERT_TRUE(read.value.has_value()) << read.error;
+    EXPECT_EQ(read.value->schedule, spec.schedule);
+    EXPECT_EQ(read.value->r, spec.r);
+    EXPECT_EQ(read.value->grid, spec.grid);
+    const obs::FromRecord<obs::BenchRecord> fresh =
+        rederive_scaling_record(rec);
+    ASSERT_TRUE(fresh.value.has_value()) << fresh.error;
+    for (const char* key : {"bandwidth_cost", "total_words", "supersteps"}) {
+      EXPECT_EQ(fresh.value->find(key)->json(), rec.find(key)->json()) << key;
+    }
+  }
+}
+
+TEST(ScalingWorkload, SpecReaderRejectsHostileRecords) {
+  EXPECT_EQ(scaling_reject("nosuch", "n", 64), "unknown schedule 'nosuch'");
+  EXPECT_EQ(scaling_reject("summa", "regime", "nosuch"),
+            "unknown memory regime 'nosuch'");
+  const std::string summa_shape =
+      "summa needs grid >= 1 dividing n and 1 <= panel <= n/grid";
+  EXPECT_EQ(scaling_reject("summa", "grid", 5), summa_shape);
+  EXPECT_EQ(scaling_reject("summa", "panel", 17), summa_shape);
+  EXPECT_EQ(scaling_reject("summa", "n", std::uint64_t{1} << 40),
+            "summa n and grid overflow the u64 machine counters");
+  EXPECT_EQ(scaling_reject("caps", "base", "nosuch"),
+            "unknown algorithm 'nosuch'");
+  EXPECT_EQ(scaling_reject("caps", "bfs_levels", 5),
+            "caps needs 1 <= bfs_levels <= r");
+  EXPECT_EQ(scaling_reject("caps", "r", 40),
+            "caps r and bfs_levels overflow the u64 machine counters");
 }
 
 }  // namespace

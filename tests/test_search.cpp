@@ -525,7 +525,10 @@ TEST(ScheduleSearchSweep, RecordRoundTripsSpec) {
   const search::SweepPoint point = search::run_search_point(spec);
   obs::BenchRecord rec;
   search::fill_search_record(point, rec);
-  const search::SweepSpec back = search::search_spec_from_record(rec);
+  const obs::FromRecord<search::SweepSpec> read =
+      search::search_spec_from_record(rec);
+  ASSERT_TRUE(read.value.has_value()) << read.error;
+  const search::SweepSpec& back = *read.value;
   EXPECT_EQ(back.algorithm, spec.algorithm);
   EXPECT_EQ(back.r, spec.r);
   EXPECT_EQ(back.m, spec.m);
@@ -533,6 +536,47 @@ TEST(ScheduleSearchSweep, RecordRoundTripsSpec) {
   EXPECT_EQ(back.seed, spec.seed);
   EXPECT_EQ(back.ls_rounds, spec.ls_rounds);
   EXPECT_EQ(back.ls_moves, spec.ls_moves);
+}
+
+/// The reader's diagnostic for `rec` with `key` replaced by `value`.
+template <typename Value>
+std::string search_reject(const std::string& key, Value value) {
+  obs::BenchRecord rec;
+  rec.set("experiment", "schedule_search")
+      .set("engine", "search")
+      .set("algorithm", "strassen")
+      .set("k", 1)
+      .set("m", 8);
+  rec.set(key, value);
+  const obs::FromRecord<search::SweepSpec> read =
+      search::search_spec_from_record(rec);
+  EXPECT_FALSE(read.value.has_value()) << key;
+  return read.error;
+}
+
+TEST(ScheduleSearchSweep, SpecReaderRejectsHostileRecords) {
+  EXPECT_EQ(search_reject("algorithm", "nosuch"),
+            "unknown algorithm 'nosuch'");
+  EXPECT_EQ(search_reject("k", 0), "k must be >= 1 (got 0)");
+  EXPECT_EQ(search_reject("k", 40),
+            "k 40 exceeds the id-space limit 10 for 'strassen'");
+  const cdag::Cdag g1(bilinear::by_name("strassen"), 1,
+                      {.with_coefficients = false});
+  EXPECT_EQ(search_reject("m", 2),
+            "M 2 is below the pebble game's floor max in-degree + 1 = " +
+                std::to_string(pebble::min_cache_size(g1.graph())) +
+                " for 'strassen' r=1");
+}
+
+TEST(ScheduleSearchSweep, SummaryCountsCertifiedSearchRecords) {
+  std::vector<obs::BenchRecord> records(3);
+  records[0].set("experiment", "schedule_search").set("certified", true);
+  records[1].set("experiment", "schedule_search").set("certified", false);
+  records[2].set("experiment", "distributed_scaling").set("certified", true);
+  const obs::BenchRecord summary = search::summarize_search_records(records);
+  EXPECT_EQ(summary.text_or("experiment", ""), "schedule_search_summary");
+  EXPECT_EQ(summary.int_or("instances", -1), 2);
+  EXPECT_EQ(summary.int_or("certified_count", -1), 1);
 }
 
 }  // namespace

@@ -705,6 +705,78 @@ TEST(ServiceAudit, AuditingServiceServesCleanly) {
   EXPECT_TRUE(again.from_cache);
 }
 
+/// A service record with `key` overridden by `value`.
+template <typename Value>
+std::string service_reject(const char* experiment, const std::string& key,
+                           Value value) {
+  obs::BenchRecord rec;
+  rec.set("experiment", experiment)
+      .set("engine", "service")
+      .set("algorithm", "strassen")
+      .set("k", 3)
+      .set("kind", "chain")
+      .set("seed", 7)
+      .set("client_threads", 1)
+      .set("requests", 16);
+  rec.set(key, value);
+  const obs::FromRecord<service::ServiceSpec> read =
+      service::service_spec_from_record(rec);
+  EXPECT_FALSE(read.value.has_value()) << key;
+  return read.error;
+}
+
+TEST(ServiceWorkload, ColdMissRecordRoundTripsAndRederives) {
+  service::ServiceRun run;
+  run.spec.experiment = "service_cold_miss";
+  run.spec.request = {"strassen", 4, CertKind::kChain};
+  run = service::run_service_workload(run.spec);
+  ASSERT_TRUE(run.response.ok) << run.response.error;
+  obs::BenchRecord rec;
+  service::fill_service_record(run, rec);
+  const obs::FromRecord<service::ServiceSpec> read =
+      service::service_spec_from_record(rec);
+  ASSERT_TRUE(read.value.has_value()) << read.error;
+  EXPECT_EQ(read.value->request, run.spec.request);
+  const obs::FromRecord<obs::BenchRecord> fresh =
+      service::rederive_service_record(rec);
+  ASSERT_TRUE(fresh.value.has_value()) << fresh.error;
+  for (const char* key : {"chains", "l3_max", "l3_bound", "l4", "digest"}) {
+    EXPECT_EQ(fresh.value->find(key)->json(), rec.find(key)->json()) << key;
+  }
+}
+
+TEST(ServiceWorkload, WarmReplayServesEverythingFromTheStore) {
+  service::ServiceSpec spec;
+  spec.experiment = "service_warm";
+  spec.trace = {.seed = 11, .num_requests = 64};
+  const service::ServiceRun run = service::run_service_workload(spec);
+  EXPECT_EQ(run.replay.requests, 64u);
+  EXPECT_EQ(run.replay.computed, 0u);
+  EXPECT_EQ(run.replay.cache_hits, 64u);
+  obs::BenchRecord rec;
+  service::fill_service_record(run, rec);
+  const obs::FromRecord<service::ServiceSpec> read =
+      service::service_spec_from_record(rec);
+  ASSERT_TRUE(read.value.has_value()) << read.error;
+  EXPECT_EQ(read.value->trace, spec.trace);
+}
+
+TEST(ServiceWorkload, SpecReaderRejectsHostileRecords) {
+  EXPECT_EQ(service_reject("service_throughput", "seed", 7),
+            "experiment 'service_throughput' is not a re-derivable service "
+            "workload");
+  EXPECT_EQ(service_reject("service_cold_miss", "algorithm", "nosuch"),
+            "unknown algorithm 'nosuch'");
+  EXPECT_EQ(service_reject("service_cold_miss", "kind", "decode"),
+            "cold-miss kind 'decode' is not re-derivable (chain only)");
+  EXPECT_EQ(service_reject("service_cold_miss", "k", 0),
+            "k must be >= 1 (got 0)");
+  EXPECT_EQ(service_reject("service_cold_miss", "k", 11),
+            "k 11 exceeds the id-space limit 10 for 'strassen'");
+  EXPECT_EQ(service_reject("service_trace", "requests", 0),
+            "requests 0 outside 1..16777216");
+}
+
 }  // namespace
 
 TEST(Protocol, RejectsOverlongLinesAtTheExactBoundary) {

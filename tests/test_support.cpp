@@ -3,6 +3,7 @@
 #include <set>
 #include <sstream>
 
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/digest.hpp"
 #include "pathrouting/support/mixed_radix.hpp"
 #include "pathrouting/support/prng.hpp"
@@ -181,6 +182,28 @@ TEST(FormatTest, Counts) {
 TEST(FormatTest, FixedAndSci) {
   EXPECT_EQ(pathrouting::support::fmt_fixed(3.14159, 2), "3.14");
   EXPECT_EQ(pathrouting::support::fmt_sci(1234567.0), "1.23e+06");
+}
+
+TEST(CliTest, DoubleFlagsParse) {
+  const char* argv[] = {"prog", "--tolerance", "4.0", "--floor=0.01"};
+  support::Cli cli(4, argv);
+  EXPECT_EQ(cli.flag_double("tolerance", 2.0, ""), 4.0);
+  EXPECT_EQ(cli.flag_double("floor", 0.05, ""), 0.01);
+  EXPECT_EQ(cli.flag_double("absent", 0.5, ""), 0.5);
+  cli.finish("test");
+}
+
+TEST(CliDeathTest, StrayPositionalArgumentExitsWithUsage) {
+  // A positional argument is a usage error reported by finish() (exit
+  // 2 with a usage hint), never a precondition abort in the parser.
+  const auto run = [] {
+    const char* argv[] = {"prog", "stray", "--alg", "strassen"};
+    support::Cli cli(4, argv);
+    (void)cli.flag_str("alg", "", "");
+    cli.finish("test");
+  };
+  EXPECT_EXIT(run(), ::testing::ExitedWithCode(2),
+              "unexpected argument\\(s\\): stray");
 }
 
 }  // namespace

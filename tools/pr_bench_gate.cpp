@@ -1,62 +1,49 @@
 // pr_bench_gate — regression gate over committed BENCH_*.json files.
 //
-// Loads a baseline (BENCH_routing_memo.json or BENCH_service.json in
-// CI), re-runs every workload it records — memoized perfsmoke
-// (experiment chain_routing / decode_routing, engine memo, k <=
-// --kmax) and certificate-service workloads (service_cold_miss /
-// service_trace / service_warm, replayed with the recorded trace seed
-// against a throwaway store) — through the observability layer, and
-// fails when the fresh run regresses:
+// Re-derives every record of a baseline from its recorded spec and
+// fails when the fresh run regresses: count and verdict fields must
+// match EXACTLY (they are deterministic functions of the spec, so drift
+// is a correctness bug, not noise); "seconds" may grow up to
+// --tolerance x the baseline, floored at --min-seconds (below it,
+// timing is jitter).
 //
-//   * count fields must match the baseline EXACTLY — the determinism
-//     contract says hit counts, bounds, and verdicts are functions of
-//     the algorithm alone, so any drift is a correctness bug, not
-//     noise;
-//   * "seconds" may grow up to --tolerance x the baseline (floored at
-//     --min-seconds, under which timing is pure jitter).
+// The gate knows no bench: kRegistry maps each (experiment, engine) to
+// a library function of the layer that owns that record schema — a
+// re-deriver (read the spec back, run it, write the fresh record
+// through the fill_* the bench uses) or a roll-up over the fresh
+// records. Gating a new baseline is one registry line. Records with no
+// entry are listed as skipped; --kmax N skips records whose "k"
+// exceeds N. Records equal on every compared field (runs at several
+// thread counts) are one workload, timed against the fastest. A record
+// its layer cannot re-derive exits 2 with "pr_bench_gate: <file>
+// record <i>: <reason>" — a BENCH file is outside input.
 //
-// The text diff goes to stdout; --report writes the same verdicts as
-// a BENCH-schema JSON file, and --trace / --metrics dump the chrome
-// trace and obs counters of the fresh run (PR_TRACE_OUT /
-// PR_METRICS_OUT work too). Reports are annotated with the build's
-// commit and the resolved thread count, so a CI artifact is
-// self-describing.
+// --report writes the verdicts as BENCH JSON; --trace / --metrics (or
+// PR_TRACE_OUT / PR_METRICS_OUT) dump the fresh run's chrome trace and
+// obs counters. --self-test-pessimize corrupts every fresh record
+// (seconds x100, its last compared integer field +1): the gate must
+// then print "pr_bench_gate: FAILED" — a gate that cannot fail gates
+// nothing.
 //
-// --self-test-pessimize deliberately corrupts every fresh record
-// (seconds x100, max-hit count +1) after measurement; the gate must
-// then fail with a readable diff. tests/test_bench_gate.py-style
-// mutation lives in tests/test_obs.cpp's gate section and CI runs the
-// flag directly — a gate that cannot fail gates nothing.
-//
-// Exit codes: 0 pass, 1 count/verdict mismatch (hard: the determinism
-// contract is broken, CI must fail), 2 usage/parse errors, 3
-// timing-only regression (soft: CI reports but does not fail — shared
-// runners make wall clocks noisy, counts are not). A run with both
-// kinds of failure exits 1: the hard failure dominates.
-#include <unistd.h>
-
+// Exit codes: 0 pass, 1 count/verdict mismatch (hard), 2 usage/parse
+// error or a record that cannot be re-derived, 3 timing-only
+// regression (soft: shared runners make wall clocks noisy). A run with
+// both kinds of failure exits 1.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-#include <filesystem>
 #include <map>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
-#include "pathrouting/bilinear/analysis.hpp"
-#include "pathrouting/bilinear/catalog.hpp"
 #include "pathrouting/obs/bench_record.hpp"
 #include "pathrouting/obs/export.hpp"
 #include "pathrouting/obs/obs.hpp"
 #include "pathrouting/parallel/scaling.hpp"
-#include "pathrouting/routing/concat_routing.hpp"
-#include "pathrouting/routing/decode_routing.hpp"
-#include "pathrouting/routing/memo_routing.hpp"
+#include "pathrouting/routing/workload.hpp"
 #include "pathrouting/search/sweep.hpp"
 #include "pathrouting/service/replay.hpp"
-#include "pathrouting/service/service.hpp"
+#include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/parallel.hpp"
 
 namespace {
@@ -71,93 +58,42 @@ const char* git_commit() {
 #endif
 }
 
-struct Options {
-  std::string baseline;
-  int kmax = 5;
-  double tolerance = 2.0;     // allowed fresh/base wall-clock ratio
-  double min_seconds = 0.05;  // below this, timing is jitter: never fail
-  std::string report_path;
-  std::string trace_path;
-  std::string metrics_path;
-  bool pessimize = false;
+/// One registered (experiment, engine): exactly one of the two
+/// functions is set.
+struct Entry {
+  const char* experiment;
+  const char* engine;
+  /// Re-runs one baseline record: the fresh record (with "seconds"),
+  /// or why the record cannot be re-derived.
+  obs::FromRecord<obs::BenchRecord> (*rederive)(const obs::BenchRecord&);
+  /// Recomputes a roll-up record over every fresh record.
+  obs::BenchRecord (*summarize)(std::span<const obs::BenchRecord>);
 };
 
-[[noreturn]] void usage(const char* msg) {
-  if (msg != nullptr) std::fprintf(stderr, "pr_bench_gate: %s\n", msg);
-  std::fprintf(
-      stderr,
-      "usage: pr_bench_gate --baseline BENCH_x.json [--kmax N] "
-      "[--tolerance X] [--min-seconds S] [--report out.json] "
-      "[--trace trace.json] [--metrics metrics.json] "
-      "[--self-test-pessimize]\n");
-  std::exit(2);
-}
+const Entry kRegistry[] = {
+    {"chain_routing", "memo", routing::rederive_routing_record, nullptr},
+    {"decode_routing", "memo", routing::rederive_routing_record, nullptr},
+    {"chain_routing", "implicit", routing::rederive_routing_record, nullptr},
+    {"decode_routing", "implicit", routing::rederive_routing_record, nullptr},
+    {"service_cold_miss", "service", service::rederive_service_record,
+     nullptr},
+    {"service_trace", "service", service::rederive_service_record, nullptr},
+    {"service_warm", "service", service::rederive_service_record, nullptr},
+    {"distributed_scaling", "machine", parallel::rederive_scaling_record,
+     nullptr},
+    {"schedule_search", "search", search::rederive_search_record, nullptr},
+    {"schedule_search_summary", "search", nullptr,
+     search::summarize_search_records},
+};
 
-std::string flag_value(const std::string& arg, const char* name) {
-  const std::size_t n = std::strlen(name);
-  if (arg.compare(0, n, name) == 0 && arg.size() > n && arg[n] == '=') {
-    return arg.substr(n + 1);
-  }
-  return "";
-}
-
-Options parse_options(int argc, char** argv) {
-  Options opt;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&](const char* what) -> std::string {
-      if (i + 1 >= argc) usage(what);
-      return argv[++i];
-    };
-    if (arg == "--baseline") {
-      opt.baseline = next("--baseline needs a path");
-    } else if (std::string v = flag_value(arg, "--baseline"); !v.empty()) {
-      opt.baseline = v;
-    } else if (arg == "--kmax") {
-      opt.kmax = std::atoi(next("--kmax needs a value").c_str());
-    } else if (std::string v2 = flag_value(arg, "--kmax"); !v2.empty()) {
-      opt.kmax = std::atoi(v2.c_str());
-    } else if (arg == "--tolerance") {
-      opt.tolerance = std::atof(next("--tolerance needs a value").c_str());
-    } else if (std::string v3 = flag_value(arg, "--tolerance"); !v3.empty()) {
-      opt.tolerance = std::atof(v3.c_str());
-    } else if (arg == "--min-seconds") {
-      opt.min_seconds = std::atof(next("--min-seconds needs a value").c_str());
-    } else if (std::string v4 = flag_value(arg, "--min-seconds"); !v4.empty()) {
-      opt.min_seconds = std::atof(v4.c_str());
-    } else if (arg == "--report") {
-      opt.report_path = next("--report needs a path");
-    } else if (arg == "--trace") {
-      opt.trace_path = next("--trace needs a path");
-    } else if (arg == "--metrics") {
-      opt.metrics_path = next("--metrics needs a path");
-    } else if (arg == "--self-test-pessimize") {
-      opt.pessimize = true;
-    } else {
-      usage(("unknown flag " + arg).c_str());
+const Entry* find_entry(const std::string& experiment,
+                        const std::string& engine) {
+  for (const Entry& entry : kRegistry) {
+    if (experiment == entry.experiment && engine == entry.engine) {
+      return &entry;
     }
   }
-  if (opt.baseline.empty()) usage("--baseline is required");
-  if (opt.kmax < 1) usage("--kmax must be >= 1");
-  if (opt.tolerance < 1.0) usage("--tolerance must be >= 1.0");
-  return opt;
-}
-
-/// One (experiment, algorithm, k) workload of the baseline; duplicate
-/// records (the committed baseline concatenates a threads=1 and a
-/// threads=8 run) collapse into one group whose timing reference is
-/// the fastest baseline record.
-struct Workload {
-  std::string experiment;
-  std::string algorithm;
-  int k = 0;
-  const obs::BenchRecord* reference = nullptr;  // count comparison
-  double base_seconds = 0;
-};
-
-double seconds_of(const obs::BenchRecord& rec) {
-  const obs::BenchValue* v = rec.find("seconds");
-  return v != nullptr && v->is_number() ? v->as_double() : 0.0;
+  return nullptr;
 }
 
 /// Fields that are run-dependent or derived, never compared exactly.
@@ -179,298 +115,132 @@ bool ignored_field(const std::string& key) {
          key == "omega0" || key == "ratio_vs_lb";
 }
 
-/// The certificate-service workloads the gate re-runs. The throughput
-/// sweep (service_throughput) is timing-only and is not collected.
-bool service_experiment(const std::string& experiment) {
-  return experiment == "service_cold_miss" ||
-         experiment == "service_trace" || experiment == "service_warm";
+double seconds_of(const obs::BenchRecord& rec) {
+  const obs::BenchValue* v = rec.find("seconds");
+  return v != nullptr && v->is_number() ? v->as_double() : 0.0;
 }
 
-struct FreshRun {
-  obs::BenchRecord rec;
-  double seconds = 0;
+/// One distinct baseline workload: the first of its identical records
+/// (equal on every compared field) is the count reference, the fastest
+/// one the timing reference.
+struct Workload {
+  std::size_t index = 0;  // of the reference record in the baseline
+  const obs::BenchRecord* reference = nullptr;
+  const Entry* entry = nullptr;
+  double base_seconds = 0;
 };
 
-FreshRun run_chain(const bilinear::BilinearAlgorithm& alg,
-                   const std::string& name, int k) {
-  const routing::ChainRouter router(alg);
-  const routing::MemoRoutingEngine memo(router);
-  const cdag::Cdag graph(alg, k, {.with_coefficients = false});
-  const cdag::SubComputation sub(graph, k, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  const routing::ChainHitCounts counts = memo.chain_hits(sub);
-  const routing::HitStats l3 = routing::chain_stats_from_counts(counts, sub);
-  const bool l4 = memo.verify_chain_multiplicities(sub);
-  const routing::FullRoutingStats t2 =
-      routing::full_routing_from_chain_counts(sub, counts);
-  FreshRun run;
-  run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-  run.rec.set("experiment", "chain_routing")
-      .set("algorithm", name)
-      .set("k", k)
-      .set("engine", "memo")
-      .set("chains", l3.num_paths)
-      .set("l3_max_hits", l3.max_hits)
-      .set("l3_bound", l3.bound)
-      .set("l4_exact", l4)
-      .set("t2_max_vertex_hits", t2.max_vertex_hits)
-      .set("t2_max_meta_hits", t2.max_meta_hits)
-      .set("t2_bound", t2.bound)
-      .set("ok", l3.ok() && l4 && t2.ok())
-      .set("seconds", run.seconds);
-  return run;
+/// "experiment [algorithm] [k=K]" — how verdict lines name a record.
+std::string label(const obs::BenchRecord& rec) {
+  std::string out = rec.text_or("experiment", "");
+  const std::string algorithm = rec.text_or("algorithm", "");
+  if (!algorithm.empty()) out += " " + algorithm;
+  if (rec.has("k")) out += " k=" + std::to_string(rec.int_or("k", 0));
+  return out;
 }
 
-FreshRun run_decode(const bilinear::BilinearAlgorithm& alg,
-                    const std::string& name, int k) {
-  const routing::ChainRouter router(alg);
-  const routing::DecodeRouter decoder(alg);
-  const routing::MemoRoutingEngine memo(router, decoder);
-  const cdag::Cdag graph(alg, k, {.with_coefficients = false});
-  const cdag::SubComputation sub(graph, k, 0);
-  const auto t0 = std::chrono::steady_clock::now();
-  const std::vector<std::uint64_t> hits = memo.decode_hits(sub);
-  const routing::HitStats stats = memo.verify_decode_routing(sub);
-  FreshRun run;
-  run.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                              t0)
-                    .count();
-  // The hit array itself feeds the obs counters / trace; the record
-  // carries the same summary fields as bench_routing.
-  (void)hits;
-  run.rec.set("experiment", "decode_routing")
-      .set("algorithm", name)
-      .set("k", k)
-      .set("engine", "memo")
-      .set("paths", stats.num_paths)
-      .set("max_hits", stats.max_hits)
-      .set("bound", stats.bound)
-      .set("ok", stats.ok())
-      .set("seconds", run.seconds);
-  return run;
-}
-
-/// Re-derives a distributed_scaling record: rebuilds the sweep point's
-/// spec from the committed baseline fields and reruns it on a fresh
-/// sparse superstep machine — the u64 machine counters must match the
-/// baseline exactly.
-FreshRun run_distributed_scaling(const obs::BenchRecord& ref) {
-  const parallel::ScalingSpec spec = parallel::scaling_spec_from_record(ref);
-  const auto t0 = std::chrono::steady_clock::now();
-  const parallel::ScalingPoint point = parallel::run_scaling_point(spec);
-  FreshRun run;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  parallel::fill_scaling_record(point, run.rec);
-  run.rec.set("seconds", run.seconds);
-  return run;
-}
-
-/// Re-derives a schedule_search record: rebuilds the sweep spec from
-/// the committed baseline fields and reruns the whole pipeline (DFS /
-/// BFS baselines, local search, branch-and-bound) — every u64 counter,
-/// the certification verdict, and the witness digest must match the
-/// baseline exactly.
-FreshRun run_schedule_search(const obs::BenchRecord& ref) {
-  const search::SweepSpec spec = search::search_spec_from_record(ref);
-  const auto t0 = std::chrono::steady_clock::now();
-  const search::SweepPoint point = search::run_search_point(spec);
-  FreshRun run;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  search::fill_search_record(point, run.rec);
-  run.rec.set("seconds", run.seconds);
-  return run;
-}
-
-/// A throwaway store directory for the service replays, removed when
-/// the gate exits.
-std::string gate_store_dir() {
-  return (std::filesystem::temp_directory_path() /
-          ("pr_bench_gate_service." + std::to_string(::getpid())))
-      .string();
-}
-
-/// Re-derives a service_cold_miss record: a fresh memory-only service
-/// answers the recorded (algorithm, k, chain) request from nothing.
-FreshRun run_service_cold(const obs::BenchRecord& ref) {
-  const std::string algorithm = ref.text_or("algorithm", "");
-  const int k = static_cast<int>(ref.int_or("k", 0));
-  service::CertificateService svc(service::ServiceConfig{});
-  const service::Request req{algorithm, k, service::CertKind::kChain};
-  const auto t0 = std::chrono::steady_clock::now();
-  const service::Response resp = svc.serve(req);
-  FreshRun run;
-  run.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  run.rec.set("experiment", "service_cold_miss")
-      .set("engine", "service")
-      .set("algorithm", algorithm)
-      .set("k", k)
-      .set("kind", service::kind_name(service::CertKind::kChain))
-      .set("ok", resp.ok)
-      .set("cached", resp.from_cache)
-      .set("seconds", run.seconds);
-  if (resp.ok) {
-    const auto& w = resp.certificate.words;
-    run.rec.set("chains", w[service::kChainNumChains])
-        .set("l3_max", w[service::kChainL3MaxHits])
-        .set("l3_bound", w[service::kChainL3Bound])
-        .set("l4", w[service::kChainL4Exact])
-        .set("has_fnv", w[service::kChainHasHitDigest])
-        .set("digest", resp.certificate.payload_digest);
+/// Corrupts the record (never the engines) so the diff must fire:
+/// seconds x100 and the last compared integer field +1.
+void pessimize(const obs::BenchRecord& reference, obs::BenchRecord& fresh) {
+  fresh.set("seconds", seconds_of(fresh) * 100.0);
+  std::string key;
+  for (const auto& [fkey, fval] : reference.fields()) {
+    if (!ignored_field(fkey) && fval.kind == obs::BenchValue::Kind::kInt) {
+      key = fkey;
+    }
   }
-  return run;
-}
-
-/// Re-derives a service_trace / service_warm record: rebuilds the
-/// recorded Zipf trace from its seed and replays it against a fresh
-/// on-disk store (service_warm reopens the populated directory with a
-/// second service instance first, so every answer comes off mmap).
-FreshRun run_service_trace(const std::string& experiment,
-                           const obs::BenchRecord& ref) {
-  service::TraceSpec spec;
-  spec.seed = static_cast<std::uint64_t>(ref.int_or("seed", 0));
-  spec.num_requests = static_cast<std::uint64_t>(ref.int_or("requests", 0));
-  const std::vector<service::Request> trace = service::zipf_trace(spec);
-  service::ServiceConfig config;
-  config.store_dir = gate_store_dir() + "/" + experiment;
-  std::error_code ec;
-  std::filesystem::remove_all(config.store_dir, ec);
-  service::ReplayResult r;
-  {
-    service::CertificateService svc(config);
-    r = service::replay_trace(svc, trace, 1);
+  if (const obs::BenchValue* v = fresh.find(key)) {
+    fresh.set(key, static_cast<std::uint64_t>(v->int_value) + 1);
+  } else {
+    fresh.set("experiment", "<pessimized>");
   }
-  if (experiment == "service_warm") {
-    service::CertificateService reopened(config);
-    r = service::replay_trace(reopened, trace, 1);
-  }
-  FreshRun run;
-  run.seconds = r.seconds;
-  run.rec.set("experiment", experiment)
-      .set("engine", "service")
-      .set("seed", spec.seed)
-      .set("client_threads", 1)
-      .set("requests", r.requests)
-      .set("unique_keys", r.unique_keys)
-      .set("ok", r.ok)
-      .set("errors", r.errors)
-      .set("cache_hits", r.cache_hits)
-      .set("computed", r.computed)
-      .set("seconds", r.seconds);
-  return run;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = parse_options(argc, argv);
+  support::Cli cli(argc, argv);
+  const std::string baseline_path =
+      cli.flag_str("baseline", "", "committed BENCH_*.json to re-derive");
+  const std::int64_t kmax = cli.flag_int(
+      "kmax", 0, "skip records whose k exceeds this (0 = no cap)");
+  const double tolerance = cli.flag_double(
+      "tolerance", 2.0, "allowed fresh/baseline wall-clock ratio");
+  const double min_seconds = cli.flag_double(
+      "min-seconds", 0.05, "timing floor: below it, timing never fails");
+  const std::string report_path =
+      cli.flag_str("report", "", "write the verdicts as BENCH JSON");
+  const std::string trace_path =
+      cli.flag_str("trace", "", "write the fresh run's chrome trace");
+  const std::string metrics_path =
+      cli.flag_str("metrics", "", "write the fresh run's obs counters");
+  const bool pessimize_all = cli.flag_bool(
+      "self-test-pessimize", false,
+      "corrupt every fresh record; the gate must then FAIL");
+  cli.finish(
+      "Re-derives every registered record of a committed BENCH_*.json "
+      "baseline and diffs counts (exact) and wall-clock (tolerance).");
+  if (baseline_path.empty()) {
+    std::fprintf(stderr, "pr_bench_gate: --baseline is required\n");
+    return 2;
+  }
+  if (kmax < 0) {
+    std::fprintf(stderr, "pr_bench_gate: --kmax must be >= 0\n");
+    return 2;
+  }
+  if (tolerance < 1.0) {
+    std::fprintf(stderr, "pr_bench_gate: --tolerance must be >= 1.0\n");
+    return 2;
+  }
 
-  obs::BenchParseResult parsed = obs::load_bench_file(opt.baseline);
+  obs::BenchParseResult parsed = obs::load_bench_file(baseline_path);
   if (!parsed.file.has_value()) {
     std::fprintf(stderr, "pr_bench_gate: %s\n", parsed.error.c_str());
     return 2;
   }
   const obs::BenchFile& baseline = *parsed.file;
 
-  // Collect the memoized perfsmoke workloads, deduplicating repeated
-  // (experiment, algorithm, k) records across baseline runs.
   std::vector<Workload> workloads;
-  std::map<std::string, std::size_t> index;
+  std::map<std::string, std::size_t> by_fields;  // compared fields -> slot
+  std::map<std::string, int> unregistered;       // "experiment/engine"
   int skipped_k = 0;
-  // The search bench's roll-up record: re-checked after the loop
-  // against counters accumulated over the fresh schedule_search runs.
-  const obs::BenchRecord* search_summary = nullptr;
-  for (const obs::BenchRecord& rec : baseline.records) {
+  for (std::size_t i = 0; i < baseline.records.size(); ++i) {
+    const obs::BenchRecord& rec = baseline.records[i];
     const std::string experiment = rec.text_or("experiment", "");
-    int k = 0;
-    if (experiment == "schedule_search_summary") {
-      if (search_summary != nullptr) {
-        std::fprintf(stderr,
-                     "pr_bench_gate: baseline has more than one "
-                     "schedule_search_summary record\n");
-        return 2;
-      }
-      search_summary = &rec;
+    const std::string engine = rec.text_or("engine", "");
+    const Entry* entry = find_entry(experiment, engine);
+    if (entry == nullptr) {
+      ++unregistered[experiment + "/" + engine];
       continue;
     }
-    if (service_experiment(experiment)) {
-      // Service workloads are re-run at their recorded size; --kmax
-      // does not apply (the cold-miss k is the point of the workload).
-      if (rec.text_or("engine", "") != "service") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-    } else if (experiment == "distributed_scaling") {
-      // Scaling sweep points re-run at their recorded spec; "k" is the
-      // grid (summa) or BFS-level count (caps), not a recursion rank,
-      // so --kmax does not apply.
-      if (rec.text_or("engine", "") != "machine") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-    } else if (experiment == "schedule_search") {
-      // Search points re-run at their recorded spec; "k" is the
-      // recursion depth r of G_r, gated by its own budget rather than
-      // --kmax (the committed matrix is already smoke-sized).
-      if (rec.text_or("engine", "") != "search") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-    } else {
-      if (experiment != "chain_routing" && experiment != "decode_routing") {
-        continue;
-      }
-      if (rec.text_or("engine", "") != "memo") continue;
-      k = static_cast<int>(rec.int_or("k", 0));
-      if (k < 1) continue;
-      if (k > opt.kmax) {
-        ++skipped_k;
-        continue;
-      }
+    if (kmax > 0 && rec.int_or("k", 0) > kmax) {
+      ++skipped_k;
+      continue;
     }
-    const std::string algorithm = rec.text_or("algorithm", "");
-    std::string key = experiment;
-    key += '/';
-    key += algorithm;
-    key += '/';
-    key += std::to_string(k);
-    if (experiment == "schedule_search") {
-      // The search sweeps M at fixed (algorithm, r): the cache size is
-      // part of the workload identity.
-      key += "/m";
-      key += std::to_string(rec.int_or("m", 0));
+    std::string key;
+    for (const auto& [fkey, fval] : rec.fields()) {
+      if (!ignored_field(fkey)) key += fkey + '=' + fval.json() + ',';
     }
-    const auto [it, inserted] = index.emplace(key, workloads.size());
+    const auto [it, inserted] = by_fields.emplace(key, workloads.size());
     if (inserted) {
-      workloads.push_back(
-          {experiment, algorithm, k, &rec, seconds_of(rec)});
-      continue;
-    }
-    Workload& wl = workloads[it->second];
-    wl.base_seconds = std::min(wl.base_seconds, seconds_of(rec));
-    // Baseline self-consistency: duplicate records must agree on every
-    // compared field (they are bit-identical across thread counts).
-    for (const auto& [fkey, fval] : wl.reference->fields()) {
-      if (ignored_field(fkey)) continue;
-      const obs::BenchValue* other = rec.find(fkey);
-      if (other == nullptr || other->json() != fval.json()) {
-        std::fprintf(stderr,
-                     "pr_bench_gate: baseline is self-inconsistent: %s "
-                     "field %s\n",
-                     key.c_str(), fkey.c_str());
-        return 2;
-      }
+      workloads.push_back({i, &rec, entry, seconds_of(rec)});
+    } else {
+      Workload& wl = workloads[it->second];
+      wl.base_seconds = std::min(wl.base_seconds, seconds_of(rec));
     }
   }
   if (workloads.empty()) {
     std::fprintf(stderr,
-                 "pr_bench_gate: baseline %s has no memoized "
-                 "chain_routing/decode_routing records with k <= %d and "
-                 "no service workloads\n",
-                 opt.baseline.c_str(), opt.kmax);
+                 "pr_bench_gate: baseline %s has no registered records%s\n",
+                 baseline_path.c_str(),
+                 skipped_k > 0 ? " within --kmax" : "");
     return 2;
   }
+  // Roll-ups summarize the fresh records, so they run last.
+  std::stable_partition(workloads.begin(), workloads.end(),
+                        [](const Workload& wl) {
+                          return wl.entry->rederive != nullptr;
+                        });
 
   // Trace and count the fresh runs regardless of env: the artifact CI
   // uploads should never be silently empty.
@@ -483,14 +253,18 @@ int main(int argc, char** argv) {
   std::printf(
       "pr_bench_gate: baseline %s (commit %s) vs build %s (threads %d), "
       "%zu workloads, tolerance %.2fx, floor %.3fs\n",
-      opt.baseline.c_str(), baseline_commit.c_str(), git_commit(),
-      support::parallel::num_threads(), workloads.size(), opt.tolerance,
-      opt.min_seconds);
-  if (skipped_k > 0) {
-    std::printf("  (%d baseline records above --kmax=%d skipped)\n",
-                skipped_k, opt.kmax);
+      baseline_path.c_str(), baseline_commit.c_str(), git_commit(),
+      support::parallel::num_threads(), workloads.size(), tolerance,
+      min_seconds);
+  for (const auto& [kind, count] : unregistered) {
+    std::printf("  skip %d %s records (no re-deriver registered)\n", count,
+                kind.c_str());
   }
-  if (opt.pessimize) {
+  if (skipped_k > 0) {
+    std::printf("  (%d baseline records above --kmax=%lld skipped)\n",
+                skipped_k, static_cast<long long>(kmax));
+  }
+  if (pessimize_all) {
     std::printf(
         "  self-test: pessimizing every fresh record — the gate MUST "
         "fail\n");
@@ -499,165 +273,89 @@ int main(int argc, char** argv) {
   obs::BenchFile report;
   report.bench = "gate_report";
   report.threads = support::parallel::num_threads();
-  report.extra.emplace_back("baseline", opt.baseline);
+  report.extra.emplace_back("baseline", baseline_path);
   report.extra.emplace_back("baseline_commit", baseline_commit);
 
   int count_failures = 0;
   int slow_failures = 0;
-  std::uint64_t fresh_search_instances = 0;
-  std::uint64_t fresh_search_certified = 0;
+  std::vector<obs::BenchRecord> fresh_records;
   for (const Workload& wl : workloads) {
-    FreshRun fresh;
-    if (wl.experiment == "service_cold_miss") {
-      fresh = run_service_cold(*wl.reference);
-    } else if (service_experiment(wl.experiment)) {
-      fresh = run_service_trace(wl.experiment, *wl.reference);
-    } else if (wl.experiment == "distributed_scaling") {
-      fresh = run_distributed_scaling(*wl.reference);
-    } else if (wl.experiment == "schedule_search") {
-      fresh = run_schedule_search(*wl.reference);
-      ++fresh_search_instances;
-      const obs::BenchValue* cert = fresh.rec.find("certified");
-      if (cert != nullptr && cert->bool_value) ++fresh_search_certified;
-    } else {
-      const auto alg = bilinear::by_name(wl.algorithm);
-      if (wl.experiment == "decode_routing" &&
-          bilinear::decoding_components(alg) != 1) {
-        // Claim 1 needs a connected decoding graph; a baseline recording
-        // such a workload predates that check — flag, don't crash.
-        std::printf("SKIP %s %s k=%d: decoding graph is disconnected\n",
-                    wl.experiment.c_str(), wl.algorithm.c_str(), wl.k);
-        report.records.emplace_back();
-        report.records.back()
-            .set("experiment", wl.experiment)
-            .set("algorithm", wl.algorithm)
-            .set("k", wl.k)
-            .set("status", "skipped");
-        continue;
+    const obs::BenchRecord& ref = *wl.reference;
+    obs::BenchRecord fresh;
+    if (wl.entry->rederive != nullptr) {
+      obs::FromRecord<obs::BenchRecord> derived = wl.entry->rederive(ref);
+      if (!derived.value) {
+        std::fprintf(stderr, "pr_bench_gate: %s record %zu: %s\n",
+                     baseline_path.c_str(), wl.index, derived.error.c_str());
+        return 2;
       }
-      fresh = wl.experiment == "chain_routing"
-                  ? run_chain(alg, wl.algorithm, wl.k)
-                  : run_decode(alg, wl.algorithm, wl.k);
+      fresh = std::move(*derived.value);
+      fresh_records.push_back(fresh);
+    } else {
+      fresh = wl.entry->summarize(fresh_records);
     }
-    if (opt.pessimize) {
-      // Corrupt the record (never the engines): prove the diff fires.
-      fresh.seconds *= 100.0;
-      fresh.rec.set("seconds", fresh.seconds);
-      const char* hit_key = wl.experiment == "chain_routing" ? "l3_max_hits"
-                            : wl.experiment == "decode_routing" ? "max_hits"
-                            : wl.experiment == "service_cold_miss" ? "chains"
-                            : wl.experiment == "distributed_scaling"
-                                ? "bandwidth_cost"
-                            : wl.experiment == "schedule_search"
-                                ? "searched_io"
-                                : "cache_hits";
-      const obs::BenchValue* v = fresh.rec.find(hit_key);
-      fresh.rec.set(hit_key,
-                    static_cast<std::uint64_t>(v->int_value) + 1);
-    }
+    if (pessimize_all) pessimize(ref, fresh);
+    const double seconds = seconds_of(fresh);
+    const std::string name = label(ref);
 
     // Exact comparison of every tracked (count/verdict) field.
     std::string mismatched;
-    for (const auto& [fkey, fval] : wl.reference->fields()) {
+    for (const auto& [fkey, fval] : ref.fields()) {
       if (ignored_field(fkey)) continue;
-      const obs::BenchValue* fresh_v = fresh.rec.find(fkey);
+      const obs::BenchValue* fresh_v = fresh.find(fkey);
       if (fresh_v == nullptr || fresh_v->json() != fval.json()) {
         if (!mismatched.empty()) mismatched += ",";
         mismatched += fkey;
-        std::printf("FAIL %s %s k=%d: %s baseline=%s fresh=%s\n",
-                    wl.experiment.c_str(), wl.algorithm.c_str(), wl.k,
+        std::printf("FAIL %s: %s baseline=%s fresh=%s\n", name.c_str(),
                     fkey.c_str(), fval.json().c_str(),
                     fresh_v == nullptr ? "<missing>"
                                        : fresh_v->json().c_str());
       }
     }
 
-    const double allowed =
-        std::max(wl.base_seconds * opt.tolerance, opt.min_seconds);
-    const bool slow = fresh.seconds > allowed;
-    const double ratio =
-        wl.base_seconds > 0 ? fresh.seconds / wl.base_seconds : 0.0;
+    const double allowed = std::max(wl.base_seconds * tolerance, min_seconds);
+    const bool slow = seconds > allowed;
+    const double ratio = wl.base_seconds > 0 ? seconds / wl.base_seconds : 0.0;
     if (slow) {
       std::printf(
-          "FAIL %s %s k=%d: seconds %.6f vs baseline %.6f "
-          "(%.1fx, allowed %.6f)\n",
-          wl.experiment.c_str(), wl.algorithm.c_str(), wl.k, fresh.seconds,
-          wl.base_seconds, ratio, allowed);
+          "FAIL %s: seconds %.6f vs baseline %.6f (%.1fx, allowed %.6f)\n",
+          name.c_str(), seconds, wl.base_seconds, ratio, allowed);
       ++slow_failures;
     }
     if (!mismatched.empty()) ++count_failures;
     if (mismatched.empty() && !slow) {
-      std::printf("ok   %s %s k=%d (%.6fs, baseline %.6fs)\n",
-                  wl.experiment.c_str(), wl.algorithm.c_str(), wl.k,
-                  fresh.seconds, wl.base_seconds);
+      std::printf("ok   %s (%.6fs, baseline %.6fs)\n", name.c_str(), seconds,
+                  wl.base_seconds);
     }
 
     report.records.emplace_back();
     auto& rrec = report.records.back()
-                     .set("experiment", wl.experiment)
-                     .set("algorithm", wl.algorithm)
-                     .set("k", wl.k)
+                     .set("experiment", ref.text_or("experiment", ""))
+                     .set("algorithm", ref.text_or("algorithm", ""))
+                     .set("k", static_cast<int>(ref.int_or("k", 0)))
                      .set("status", !mismatched.empty() ? "count-mismatch"
                                     : slow              ? "slow"
                                                         : "ok")
                      .set("baseline_seconds", wl.base_seconds)
-                     .set("seconds", fresh.seconds)
+                     .set("seconds", seconds)
                      .set("ratio", ratio);
     if (!mismatched.empty()) rrec.set("fields_mismatched", mismatched);
   }
 
-  // Roll-up check: the baseline's certified-optimal count must be
-  // exactly reproduced by the fresh runs — a silently lost certificate
-  // is a determinism break even if no single record mismatched.
-  if (search_summary != nullptr) {
-    const std::uint64_t base_instances =
-        static_cast<std::uint64_t>(search_summary->int_or("instances", 0));
-    const std::uint64_t base_certified = static_cast<std::uint64_t>(
-        search_summary->int_or("certified_count", 0));
-    if (opt.pessimize) ++fresh_search_certified;
-    const bool summary_ok = base_instances == fresh_search_instances &&
-                            base_certified == fresh_search_certified;
-    if (!summary_ok) {
-      std::printf(
-          "FAIL schedule_search_summary: instances baseline=%llu fresh=%llu, "
-          "certified_count baseline=%llu fresh=%llu\n",
-          static_cast<unsigned long long>(base_instances),
-          static_cast<unsigned long long>(fresh_search_instances),
-          static_cast<unsigned long long>(base_certified),
-          static_cast<unsigned long long>(fresh_search_certified));
-      ++count_failures;
-    } else {
-      std::printf("ok   schedule_search_summary (%llu instances, %llu "
-                  "certified optimal)\n",
-                  static_cast<unsigned long long>(fresh_search_instances),
-                  static_cast<unsigned long long>(fresh_search_certified));
-    }
-    report.records.emplace_back();
-    report.records.back()
-        .set("experiment", "schedule_search_summary")
-        .set("instances", fresh_search_instances)
-        .set("certified_count", fresh_search_certified)
-        .set("status", summary_ok ? "ok" : "count-mismatch");
-  }
-
   obs::finalize_records(report, git_commit());
-  if (!opt.report_path.empty() &&
-      !obs::write_bench_file(report, opt.report_path)) {
+  if (!report_path.empty() && !obs::write_bench_file(report, report_path)) {
     return 2;
   }
-  if (!opt.trace_path.empty() &&
-      !obs::write_chrome_trace_file(opt.trace_path)) {
+  if (!trace_path.empty() && !obs::write_chrome_trace_file(trace_path)) {
     return 2;
   }
-  if (!opt.metrics_path.empty() &&
+  if (!metrics_path.empty() &&
       !obs::write_bench_file(
           obs::counters_as_bench_file("gate_metrics", git_commit()),
-          opt.metrics_path)) {
+          metrics_path)) {
     return 2;
   }
   obs::write_env_outputs("gate_metrics", git_commit());
-  std::error_code cleanup_ec;
-  std::filesystem::remove_all(gate_store_dir(), cleanup_ec);
 
   const char* verdict = count_failures > 0  ? "FAILED"
                         : slow_failures > 0 ? "SLOW"

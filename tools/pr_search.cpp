@@ -4,17 +4,13 @@
 // tool then audits its own certificate with search.certified-optimal
 // and exits nonzero if the rule fires, so a scripted sweep cannot
 // silently record an unsound claim.
-#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
 #include <string>
 #include <vector>
 
-#include "pathrouting/audit/audit.hpp"
-#include "pathrouting/bilinear/catalog.hpp"
-#include "pathrouting/cdag/cdag.hpp"
-#include "pathrouting/pebble/cache_sim.hpp"
+#include "pathrouting/audit/diagnostic.hpp"
 #include "pathrouting/search/sweep.hpp"
 #include "pathrouting/support/cli.hpp"
 #include "pathrouting/support/table.hpp"
@@ -42,26 +38,8 @@ int main(int argc, char** argv) {
 
   // Validate at the CLI surface: bad inputs are exit-2 one-liners, not
   // library-precondition aborts.
-  const std::vector<std::string> names = bilinear::catalog_names();
-  if (std::find(names.begin(), names.end(), spec.algorithm) == names.end()) {
-    std::fprintf(stderr, "pr_search: unknown catalog algorithm '%s'\n",
-                 spec.algorithm.c_str());
-    return 2;
-  }
-  if (spec.r < 1) {
-    std::fprintf(stderr, "pr_search: --r must be >= 1 (got %d)\n", spec.r);
-    return 2;
-  }
-  const bilinear::BilinearAlgorithm alg = bilinear::by_name(spec.algorithm);
-  const cdag::Cdag cdag(alg, spec.r, {.with_coefficients = false});
-  const std::uint64_t min_m = pebble::min_cache_size(cdag.graph());
-  if (spec.m < min_m) {
-    std::fprintf(stderr,
-                 "pr_search: --m %llu too small for %s r=%d — the pebble "
-                 "game needs M >= max in-degree + 1 = %llu\n",
-                 static_cast<unsigned long long>(spec.m),
-                 spec.algorithm.c_str(), spec.r,
-                 static_cast<unsigned long long>(min_m));
+  if (const std::string error = search::spec_error(spec); !error.empty()) {
+    std::fprintf(stderr, "pr_search: %s\n", error.c_str());
     return 2;
   }
 
@@ -91,18 +69,7 @@ int main(int argc, char** argv) {
             << point.witness_fnv << ")\n";
 
   // Self-audit the certificate this run just produced.
-  audit::SearchCertificateView cert;
-  cert.graph = &cdag.graph();
-  cert.schedule = point.witness;
-  cert.output_mask = point.output_mask;
-  cert.cache_size = spec.m;
-  cert.claimed_io = point.searched_io;
-  cert.claimed_lower_bound = point.lower_bound;
-  cert.claims_bound_met_optimal = point.proof == search::Proof::kBoundMet;
-  cert.theorem1_a = static_cast<std::uint64_t>(alg.a());
-  cert.theorem1_b = static_cast<std::uint64_t>(alg.b());
-  cert.theorem1_r = spec.r;
-  const audit::AuditReport report = audit::audit_search_certificate(cert);
+  const audit::AuditReport report = search::audit_point(point);
   if (!report.ok()) {
     std::cerr << report.to_text() << "pr_search: certificate audit FAILED\n";
     return EXIT_FAILURE;
